@@ -44,6 +44,10 @@ let maybe_csv name table =
 
 let section title = Printf.printf "\n=== %s ===\n%!" title
 
+(* Wall-clock seconds on CLOCK_MONOTONIC: every hand-rolled timer below
+   reads this, never the CPU clock. *)
+let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 (* The sweep-shaped figures are builtin scenarios executed through the
    Runner; the historical per-file CSV names (underscores, one file per
    degree) are preserved. *)
@@ -234,7 +238,9 @@ let timing () =
    seed_* fields are the measurements recorded before the CSR/arena
    rework and stay pinned so the JSON carries the before/after pair;
    the ceiling is a hard bound on minor words per broadcast — exceed
-   it and the bench exits nonzero, failing the CI smoke run. *)
+   it and the bench exits nonzero, failing the CI smoke run.  One more
+   row guards topology the same way: [Unit_disk.build] on the same
+   placement. *)
 let alloc_cases =
   (* name, mode label, mode, ceiling (minor words/broadcast), seed µs,
      seed minor words *)
@@ -256,8 +262,31 @@ let alloc_cases =
     ("dynamic-2.5hop", "lossy-0.1", Manet_broadcast.Protocol.Lossy 0.1, 85_000., 5010.1, 451_774.);
   ]
 
+(* Ceiling, seed µs and seed minor words of one [Unit_disk.build] on the
+   [alloc] placement.  The seed pair was measured on the spatial hash
+   grid (a [Hashtbl] of [int list ref] cells keyed by tuples) that the
+   flat cell index replaced.  The index's arrays are all past the
+   minor-heap size limit, so only a few header words stay minor
+   (measured 11); the ceiling allows two words per node, so any
+   per-node boxing trips it. *)
+let unit_disk_case = (2_000., 3028.9, 492_543.)
+
+(* µs and minor words per call of [op i], over [reps] calls after three
+   warm-up calls. *)
+let measure ~reps op =
+  for i = 0 to 2 do
+    op i
+  done;
+  let w0 = Gc.minor_words () in
+  let t0 = now_s () in
+  for i = 0 to reps - 1 do
+    op i
+  done;
+  let dt = now_s () -. t0 in
+  (1e6 *. dt /. float_of_int reps, (Gc.minor_words () -. w0) /. float_of_int reps)
+
 let alloc () =
-  section "Allocation: per-broadcast cost on the uniform pipeline (n = 1000, d = 12)";
+  section "Allocation: per-broadcast and unit-disk build cost (n = 1000, d = 12)";
   let n = 1000 in
   let reps = if !quick then 40 else 200 in
   let spec = Manet_topology.Spec.make ~n ~avg_degree:12. () in
@@ -265,9 +294,16 @@ let alloc () =
     Manet_topology.Generator.sample_connected (Manet_rng.Rng.create ~seed:1005) spec
   in
   let g = sample.Manet_topology.Generator.graph in
-  Printf.printf "%-18s %-10s %10s %10s %14s %14s %10s\n" "protocol" "mode" "us/bcast" "seed us"
-    "words/bcast" "seed words" "ceiling";
+  Printf.printf "%-18s %-10s %10s %10s %14s %14s %10s\n" "case" "mode" "us/op" "seed us"
+    "words/op" "seed words" "ceiling";
   let failures = ref [] in
+  let report name mode_label (us, words) ceiling seed_us seed_words =
+    let key = Printf.sprintf "%s (%s)" name mode_label in
+    if words > ceiling then failures := key :: !failures;
+    Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" name mode_label us seed_us
+      words seed_words ceiling
+      (if words > ceiling then "  EXCEEDED" else "")
+  in
   let rows =
     List.map
       (fun (name, mode_label, mode, ceiling, seed_us, seed_words) ->
@@ -276,25 +312,21 @@ let alloc () =
         let built = p.Manet_broadcast.Protocol.prepare env in
         (* Warm-up grows the arena to this graph's capacity, so the
            timed loop measures steady-state reuse. *)
-        for s = 0 to 2 do
-          ignore (built.Manet_broadcast.Protocol.run ~source:s ~mode)
-        done;
-        let w0 = Gc.minor_words () in
-        let t0 = Sys.time () in
-        for i = 0 to reps - 1 do
-          ignore (built.Manet_broadcast.Protocol.run ~source:(i mod n) ~mode)
-        done;
-        let dt = Sys.time () -. t0 in
-        let words = (Gc.minor_words () -. w0) /. float_of_int reps in
-        let us = 1e6 *. dt /. float_of_int reps in
-        let key = Printf.sprintf "%s (%s)" name mode_label in
-        if words > ceiling then failures := key :: !failures;
-        Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" name mode_label us
-          seed_us words seed_words ceiling
-          (if words > ceiling then "  EXCEEDED" else "");
+        let us, words =
+          measure ~reps (fun i ->
+              ignore (built.Manet_broadcast.Protocol.run ~source:(i mod n) ~mode))
+        in
+        report name mode_label (us, words) ceiling seed_us seed_words;
         (name, mode_label, us, words, ceiling, seed_us, seed_words))
       alloc_cases
   in
+  let ud_ceiling, ud_seed_us, ud_seed_words = unit_disk_case in
+  let ud_us, ud_words =
+    let points = sample.Manet_topology.Generator.points
+    and radius = sample.Manet_topology.Generator.radius in
+    measure ~reps (fun _ -> ignore (Manet_graph.Unit_disk.build ~radius points))
+  in
+  report "unit-disk" "build" (ud_us, ud_words) ud_ceiling ud_seed_us ud_seed_words;
   let entries =
     List.map
       (fun (name, mode_label, us, words, ceiling, seed_us, seed_words) ->
@@ -319,12 +351,29 @@ let alloc () =
           \    \"results\": [\n\
           %s\n\
           \    ]\n\
+          \  },\n\
+          \  \"per_build\": {\n\
+          \    \"name\": \"unit-disk\",\n\
+          \    \"n\": 1000,\n\
+          \    \"avg_degree\": 12,\n\
+          \    \"reps\": %d,\n\
+          \    \"us_per_build\": %s,\n\
+          \    \"minor_words_per_build\": %s,\n\
+          \    \"ceiling_words\": %s,\n\
+          \    \"seed_us_per_build\": %s,\n\
+          \    \"seed_minor_words_per_build\": %s,\n\
+          \    \"speedup\": %s,\n\
+          \    \"alloc_reduction\": %s\n\
           \  }"
          reps
-         (String.concat ",\n" entries));
+         (String.concat ",\n" entries)
+         reps (json_float ud_us) (json_float ud_words) (json_float ud_ceiling)
+         (json_float ud_seed_us) (json_float ud_seed_words)
+         (json_float (ud_seed_us /. ud_us))
+         (json_float (ud_seed_words /. ud_words)));
   flush_timing_json ();
   if !failures <> [] then begin
-    Printf.eprintf "alloc: minor-words-per-broadcast ceiling exceeded: %s\n"
+    Printf.eprintf "alloc: minor-words ceiling exceeded: %s\n"
       (String.concat ", " (List.rev !failures));
     exit 1
   end
@@ -333,8 +382,8 @@ let alloc () =
    (DESIGN.md §6g): one long-lived network, a Poisson broadcast stream
    under join/leave churn, the backbone maintained incrementally, every
    broadcast reusing one pre-sized arena.  The floor is a hard bound on
-   broadcasts served per CPU second — dip below it and the bench exits
-   nonzero, failing the CI smoke run.  It sits ~5x under the measured
+   broadcasts served per wall-clock second — dip below it and the bench
+   exits nonzero, failing the CI smoke run.  It sits ~5x under the measured
    ~5,500/s, so only a structural regression (per-arrival allocation,
    arena regrowth, whole-graph work per broadcast) can cross it;
    machine-to-machine noise cannot. *)
@@ -352,14 +401,14 @@ let traffic () =
   let w =
     Workload.make ~arrival_rate:50. ~duration ~warmup:2. ~join_rate:0.4 ~leave_rate:0.4 ()
   in
-  let t0 = Sys.time () in
+  let t0 = now_s () in
   let stats =
     Workload.run
       ~rng:(Manet_rng.Rng.create ~seed:4242)
       ~points:sample.Manet_topology.Generator.points
       ~radius:sample.Manet_topology.Generator.radius ~spec:topo w
   in
-  let dt = Sys.time () -. t0 in
+  let dt = now_s () -. t0 in
   let bps = float_of_int stats.Workload.broadcasts /. dt in
   Printf.printf "%-14s %12s %12s %12s %14s %10s\n" "broadcasts" "churn" "maint msgs" "wall s"
     "bcast/s" "floor";
@@ -394,7 +443,7 @@ let traffic () =
 (* Scalability: wall-clock of each construction as n grows an order of
    magnitude past the paper's largest network, at fixed density. *)
 let timing_scale () =
-  section "Timing: construction scalability (CPU seconds, fixed d = 12)";
+  section "Timing: construction scalability (wall seconds, fixed d = 12)";
   Printf.printf "%8s %10s %12s %12s %12s %14s\n" "n" "sample" "clustering" "static-2.5"
     "dynamic bc" "us per node";
   let rows = ref [] in
@@ -405,9 +454,9 @@ let timing_scale () =
          threshold (~ln n), so rejection sampling stays cheap. *)
       let spec = Manet_topology.Spec.make ~n ~avg_degree:12. () in
       let time f =
-        let t0 = Sys.time () in
+        let t0 = now_s () in
         let r = f () in
-        (Sys.time () -. t0, r)
+        (now_s () -. t0, r)
       in
       let t_sample, sample = time (fun () -> Manet_topology.Generator.sample_connected rng spec) in
       let g = sample.Manet_topology.Generator.graph in

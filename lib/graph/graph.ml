@@ -4,12 +4,41 @@
    contiguous buffer instead of chasing a pointer per row. *)
 type t = { n : int; m : int; off : int array; nbr : int array }
 
+(* Whether [a.(lo) .. a.(hi - 1)] is already in ascending order. *)
+let sorted_range a lo hi =
+  let i = ref (lo + 1) in
+  while !i < hi && Array.unsafe_get a (!i - 1) <= Array.unsafe_get a !i do
+    incr i
+  done;
+  !i >= hi
+
+(* [swap] and [sift] live at top level so that heapsorting a range
+   allocates no closures. *)
+let swap a i j =
+  let tmp = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- tmp
+
+(* Max-heap sift-down within [a.(lo) .. a.(lo + len - 1)]. *)
+let rec sift a lo root len =
+  let l = (2 * root) + 1 in
+  if l < len then begin
+    let c = if l + 1 < len && a.(lo + l + 1) > a.(lo + l) then l + 1 else l in
+    if a.(lo + c) > a.(lo + root) then begin
+      swap a (lo + c) (lo + root);
+      sift a lo c len
+    end
+  end
+
 (* In-place sort of [a.(lo) .. a.(hi - 1)]: insertion sort for short rows,
    heapsort above that.  Both are allocation-free, which keeps graph
-   construction off the minor heap. *)
+   construction off the minor heap.  A row that is already sorted costs
+   one linear pass either way (insertion sort moves nothing; long rows
+   are checked before heapsorting) — [Unit_disk.build] emits its rows in
+   order, so that is the common case. *)
 let sort_range a lo hi =
   let len = hi - lo in
-  if len > 1 then begin
+  if len > 1 && not (len > 16 && sorted_range a lo hi) then begin
     if len <= 16 then
       for i = lo + 1 to hi - 1 do
         let x = Array.unsafe_get a i in
@@ -21,27 +50,12 @@ let sort_range a lo hi =
         Array.unsafe_set a (!j + 1) x
       done
     else begin
-      let swap i j =
-        let tmp = a.(lo + i) in
-        a.(lo + i) <- a.(lo + j);
-        a.(lo + j) <- tmp
-      in
-      let rec sift root len =
-        let l = (2 * root) + 1 in
-        if l < len then begin
-          let c = if l + 1 < len && a.(lo + l + 1) > a.(lo + l) then l + 1 else l in
-          if a.(lo + c) > a.(lo + root) then begin
-            swap c root;
-            sift c len
-          end
-        end
-      in
       for root = (len - 2) / 2 downto 0 do
-        sift root len
+        sift a lo root len
       done;
       for last = len - 1 downto 1 do
-        swap 0 last;
-        sift 0 last
+        swap a lo (lo + last);
+        sift a lo 0 last
       done
     end
   end

@@ -35,6 +35,11 @@ val of_half_edges : n:int -> len:int -> int array -> t
     malformed); self-loops, out-of-range endpoints, an odd or negative
     [len], and [len > Array.length buf] raise [Invalid_argument]. *)
 
+val sort_range : int array -> int -> int -> unit
+(** [sort_range a lo hi] sorts [a.(lo) .. a.(hi - 1)] ascending in place,
+    without allocating: insertion sort for up to 16 entries, heapsort
+    above that.  An already sorted range costs one linear pass. *)
+
 val empty : int -> t
 (** [empty n] has [n] nodes and no edges. *)
 

@@ -1,5 +1,4 @@
 module Point = Manet_geom.Point
-module Grid = Manet_geom.Grid
 module Rng = Manet_rng.Rng
 
 let pt x y = Point.make ~x ~y
@@ -53,78 +52,6 @@ let test_box () =
   Alcotest.check feq "clamp x" 0. c.x;
   Alcotest.check feq "clamp y" 10. c.y
 
-let random_points ~seed ~count ~extent =
-  let rng = Rng.create ~seed in
-  Array.init count (fun _ -> pt (Rng.float rng extent) (Rng.float rng extent))
-
-let brute_within points center radius =
-  let acc = ref [] in
-  Array.iteri (fun i p -> if Point.dist center p < radius then acc := i :: !acc) points;
-  List.sort compare !acc
-
-let test_grid_matches_brute_force () =
-  let rng = Rng.create ~seed:99 in
-  for trial = 1 to 50 do
-    let points = random_points ~seed:trial ~count:80 ~extent:100. in
-    let radius = 5. +. Rng.float rng 20. in
-    let grid = Grid.make ~cell_size:radius points in
-    let center = pt (Rng.float rng 100.) (Rng.float rng 100.) in
-    Alcotest.(check (list int))
-      (Printf.sprintf "trial %d" trial)
-      (brute_within points center radius)
-      (Grid.within grid ~center ~radius)
-  done
-
-let test_grid_radius_larger_than_cell () =
-  (* Queries wider than the cell must still be exact. *)
-  let points = random_points ~seed:5 ~count:60 ~extent:50. in
-  let grid = Grid.make ~cell_size:4. points in
-  let center = pt 25. 25. in
-  List.iter
-    (fun radius ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "radius %f" radius)
-        (brute_within points center radius)
-        (Grid.within grid ~center ~radius))
-    [ 2.; 4.; 7.5; 13.; 40. ]
-
-let test_grid_strictness () =
-  (* The neighbor rule is strict: distance exactly r is NOT within. *)
-  let points = [| pt 0. 0.; pt 3. 0. |] in
-  let grid = Grid.make ~cell_size:3. points in
-  Alcotest.(check (list int)) "strict" [ 0 ] (Grid.within grid ~center:(pt 0. 0.) ~radius:3.);
-  Alcotest.(check (list int)) "slightly more" [ 0; 1 ]
-    (Grid.within grid ~center:(pt 0. 0.) ~radius:3.0001)
-
-let test_grid_negative_coordinates () =
-  (* Points outside the usual working space still hash correctly. *)
-  let points = [| pt (-7.5) (-2.); pt (-6.) (-2.); pt 6. 2. |] in
-  let grid = Grid.make ~cell_size:2. points in
-  Alcotest.(check (list int)) "negative region query" [ 0; 1 ]
-    (Grid.within grid ~center:(pt (-7.) (-2.)) ~radius:2.)
-
-let test_grid_empty () =
-  let grid = Grid.make ~cell_size:1. [||] in
-  Alcotest.(check (list int)) "no points" [] (Grid.within grid ~center:(pt 0. 0.) ~radius:5.);
-  Alcotest.(check (option int)) "no nearest" None (Grid.nearest grid ~center:(pt 0. 0.))
-
-let test_grid_invalid_cell () =
-  Alcotest.check_raises "non-positive cell"
-    (Invalid_argument "Grid.make: cell_size must be positive") (fun () ->
-      ignore (Grid.make ~cell_size:0. [||]))
-
-let test_nearest () =
-  let points = [| pt 0. 0.; pt 5. 5.; pt 2. 2. |] in
-  let grid = Grid.make ~cell_size:3. points in
-  Alcotest.(check (option int)) "closest" (Some 2) (Grid.nearest grid ~center:(pt 3. 3.));
-  Alcotest.(check (option int)) "exact hit" (Some 0) (Grid.nearest grid ~center:(pt 0. 0.))
-
-let test_nearest_tie_lowest_index () =
-  let points = [| pt 1. 0.; pt (-1.) 0. |] in
-  let grid = Grid.make ~cell_size:1. points in
-  Alcotest.(check (option int)) "tie -> lowest index" (Some 0)
-    (Grid.nearest grid ~center:(pt 0. 0.))
-
 let () =
   Alcotest.run "geom"
     [
@@ -136,16 +63,5 @@ let () =
           Alcotest.test_case "vector ops" `Quick test_vector_ops;
           Alcotest.test_case "lerp" `Quick test_lerp;
           Alcotest.test_case "box" `Quick test_box;
-        ] );
-      ( "grid",
-        [
-          Alcotest.test_case "matches brute force" `Quick test_grid_matches_brute_force;
-          Alcotest.test_case "radius larger than cell" `Quick test_grid_radius_larger_than_cell;
-          Alcotest.test_case "strict inequality" `Quick test_grid_strictness;
-          Alcotest.test_case "negative coordinates" `Quick test_grid_negative_coordinates;
-          Alcotest.test_case "empty grid" `Quick test_grid_empty;
-          Alcotest.test_case "invalid cell size" `Quick test_grid_invalid_cell;
-          Alcotest.test_case "nearest" `Quick test_nearest;
-          Alcotest.test_case "nearest tie" `Quick test_nearest_tie_lowest_index;
         ] );
     ]

@@ -289,6 +289,26 @@ let test_unit_disk_strict () =
   let g = Unit_disk.build ~radius:2. pts in
   Alcotest.(check int) "distance exactly r is not a link" 0 (Graph.m g)
 
+(* [Unit_disk.build] against the O(n^2) reference, plus the layout
+   promise behind its speed: every CSR row comes out strictly
+   increasing. *)
+let rows_strictly_increasing g =
+  let off, nbr = Graph.csr g in
+  let ok = ref true in
+  for v = 0 to Graph.n g - 1 do
+    for i = off.(v) + 1 to off.(v + 1) - 1 do
+      if nbr.(i - 1) >= nbr.(i) then ok := false
+    done
+  done;
+  !ok
+
+let agrees_with_brute ~radius pts =
+  let g = Unit_disk.build ~radius pts in
+  Graph.equal g (Unit_disk.build_brute_force ~radius pts) && rows_strictly_increasing g
+
+let check_agrees label ~radius pts =
+  Alcotest.(check bool) label true (agrees_with_brute ~radius pts)
+
 let prop_unit_disk_matches_brute =
   qtest "grid construction = brute force" ~count:60
     QCheck.(pair (int_bound 100_000) (int_range 2 80))
@@ -299,7 +319,146 @@ let prop_unit_disk_matches_brute =
             Point.make ~x:(Manet_rng.Rng.float rng 100.) ~y:(Manet_rng.Rng.float rng 100.))
       in
       let radius = 5. +. Manet_rng.Rng.float rng 30. in
-      Graph.equal (Unit_disk.build ~radius pts) (Unit_disk.build_brute_force ~radius pts))
+      agrees_with_brute ~radius pts)
+
+(* Lattice points at multiples of the radius (so on cell boundaries,
+   and many pairs exactly [radius] apart), some nudged by one ulp
+   either way, some coincident. *)
+let prop_unit_disk_cell_boundaries =
+  qtest "cell boundaries and exact-radius pairs" ~count:80
+    QCheck.(pair (int_bound 100_000) (int_range 1 60))
+    (fun (seed, n) ->
+      let rng = Manet_rng.Rng.create ~seed in
+      let radius = [| 1.; 0.1; 3.7; 10.; 1e-3; 25.5 |].(Manet_rng.Rng.int rng 6) in
+      let coord () =
+        let c = float_of_int (Manet_rng.Rng.int rng 9 - 4) *. radius in
+        match Manet_rng.Rng.int rng 4 with 0 -> Float.succ c | 1 -> Float.pred c | _ -> c
+      in
+      let pts = Array.init n (fun _ -> Point.make ~x:(coord ()) ~y:(coord ())) in
+      agrees_with_brute ~radius pts)
+
+let test_unit_disk_exact_radius () =
+  let radius = 0.3 in
+  let p x y = Point.make ~x ~y in
+  (* Axis-aligned and diagonal pairs at (or a rounding step around)
+     exactly [radius], across a cell boundary and inside one cell. *)
+  let pts =
+    [| p 0. 0.; p radius 0.; p (2. *. radius) 0.; p 0. (-.radius); p 0.18 0.24;
+       p (Float.pred radius) 5.; p 0. 5.; p (-0.18) (-0.24); p 7. 7.; p 7.3 7. |]
+  in
+  check_agrees "exact-radius pairs" ~radius pts
+
+let test_unit_disk_coincident () =
+  let p = Point.make ~x:4. ~y:4. in
+  let pts = Array.append (Array.make 12 p) [| Point.make ~x:4. ~y:5.; Point.make ~x:40. ~y:4. |] in
+  let g = Unit_disk.build ~radius:2. pts in
+  check_agrees "coincident points" ~radius:2. pts;
+  Alcotest.(check int) "coincident points link" 12 (Graph.degree g 0)
+
+(* The serving loop parks left nodes on a rail [2r + 1] apart, above a
+   field of height 100: every parked node lands in a cell of its own,
+   far from the field. *)
+let prop_unit_disk_parked_rail =
+  qtest "serving loop's parked rail" ~count:40
+    QCheck.(pair (int_bound 100_000) (int_range 1 200))
+    (fun (seed, n) ->
+      let rng = Manet_rng.Rng.create ~seed in
+      let radius = Unit_disk.radius_for_degree ~n:(max n 2) ~degree:12. ~width:100. ~height:100. in
+      let pts =
+        Array.init n (fun v ->
+            if Manet_rng.Rng.int rng 3 = 0 then
+              Point.make
+                ~x:(float_of_int v *. ((2. *. radius) +. 1.))
+                ~y:(100. +. (2. *. radius) +. 1.)
+            else Point.make ~x:(Manet_rng.Rng.float rng 100.) ~y:(Manet_rng.Rng.float rng 100.))
+      in
+      agrees_with_brute ~radius pts)
+
+(* A unit square inside one cell of side ~2: every pair is a candidate
+   and every pair links. *)
+let test_unit_disk_one_cell () =
+  let rng = Manet_rng.Rng.create ~seed:3 in
+  let pts =
+    Array.init 150 (fun _ ->
+        Point.make ~x:(40.5 +. Manet_rng.Rng.float rng 1.) ~y:(40.5 +. Manet_rng.Rng.float rng 1.))
+  in
+  check_agrees "all in one cell" ~radius:2. pts;
+  Alcotest.(check int) "clique" (150 * 149 / 2) (Graph.m (Unit_disk.build ~radius:2. pts))
+
+let test_unit_disk_single_node () =
+  let pts = [| Point.make ~x:3. ~y:(-2.) |] in
+  check_agrees "n = 1" ~radius:1. pts;
+  Alcotest.(check int) "one node" 1 (Graph.n (Unit_disk.build ~radius:1. pts))
+
+(* n = 2000 over 2048 buckets: many cells share a bucket. *)
+let test_unit_disk_bucket_collisions () =
+  let rng = Manet_rng.Rng.create ~seed:2000 in
+  let n = 2000 in
+  let pts =
+    Array.init n (fun _ ->
+        Point.make ~x:(Manet_rng.Rng.float rng 1000.) ~y:(Manet_rng.Rng.float rng 1000.))
+  in
+  check_agrees "n = 2000, sparse" ~radius:4. pts;
+  check_agrees "n = 2000, d ~ 12" ~radius:(Unit_disk.radius_for_degree ~n ~degree:12.
+    ~width:1000. ~height:1000.) pts
+
+(* The cell index's edge cases, carried over from the spatial hash grid
+   it replaced. *)
+let random_points ~seed ~count ~extent =
+  let rng = Manet_rng.Rng.create ~seed in
+  Array.init count (fun _ ->
+      Point.make ~x:(Manet_rng.Rng.float rng extent) ~y:(Manet_rng.Rng.float rng extent))
+
+(* Larger placements than the property above, centred on the origin so
+   that half the cells have negative coordinates. *)
+let test_grid_matches_brute_force () =
+  let rng = Manet_rng.Rng.create ~seed:99 in
+  for trial = 1 to 30 do
+    let points =
+      Array.map
+        (fun (q : Point.t) -> Point.make ~x:(q.x -. 50.) ~y:(q.y -. 50.))
+        (random_points ~seed:trial ~count:(50 + (10 * trial)) ~extent:100.)
+    in
+    let radius = 2. +. Manet_rng.Rng.float rng 18. in
+    check_agrees (Printf.sprintf "trial %d" trial) ~radius points
+  done
+
+let test_grid_radius_larger_than_field () =
+  let points = random_points ~seed:5 ~count:60 ~extent:50. in
+  List.iter
+    (fun radius -> check_agrees (Printf.sprintf "radius %g" radius) ~radius points)
+    [ 2.; 4.; 7.5; 13.; 40.; 75.; 1000. ];
+  Alcotest.(check int) "radius past the diagonal: a clique" (60 * 59 / 2)
+    (Graph.m (Unit_disk.build ~radius:75. points))
+
+let test_grid_strictness () =
+  (* A 3-4-5 diagonal, so the pair also sits in different cells. *)
+  let points = [| Point.make ~x:4. ~y:0.; Point.make ~x:7. ~y:4. |] in
+  Alcotest.(check int) "distance exactly r" 0 (Graph.m (Unit_disk.build ~radius:5. points));
+  Alcotest.(check int) "slightly more" 1 (Graph.m (Unit_disk.build ~radius:5.0001 points))
+
+let test_grid_negative_coordinates () =
+  let p x y = Point.make ~x ~y in
+  let points = [| p (-7.5) (-2.); p (-6.) (-2.); p 6. 2.; p (-0.5) (-0.5); p 0.5 0.5 |] in
+  let g = Unit_disk.build ~radius:2. points in
+  check_agrees "negative coordinates" ~radius:2. points;
+  Alcotest.(check bool) "negative pair" true (Graph.mem_edge g 0 1);
+  Alcotest.(check bool) "across the origin" true (Graph.mem_edge g 3 4)
+
+let test_grid_empty () =
+  check_agrees "n = 0" ~radius:5. [||];
+  let g = Unit_disk.build ~radius:5. [||] in
+  Alcotest.(check int) "no nodes" 0 (Graph.n g);
+  Alcotest.(check int) "no edges" 0 (Graph.m g)
+
+let test_grid_invalid_radius () =
+  List.iter
+    (fun radius ->
+      Alcotest.check_raises
+        (Printf.sprintf "radius %g" radius)
+        (Invalid_argument "Unit_disk.build: radius must be positive")
+        (fun () -> ignore (Unit_disk.build ~radius [||])))
+    [ 0.; -1. ]
 
 let test_unit_disk_toroidal () =
   let pts = [| Point.make ~x:1. ~y:5.; Point.make ~x:9. ~y:5.; Point.make ~x:5. ~y:5. |] in
@@ -565,9 +724,27 @@ let () =
           Alcotest.test_case "simple" `Quick test_unit_disk_simple;
           Alcotest.test_case "strict threshold" `Quick test_unit_disk_strict;
           prop_unit_disk_matches_brute;
+          prop_unit_disk_cell_boundaries;
+          Alcotest.test_case "exact-radius pairs" `Quick test_unit_disk_exact_radius;
+          Alcotest.test_case "coincident points" `Quick test_unit_disk_coincident;
+          prop_unit_disk_parked_rail;
+          Alcotest.test_case "all in one cell" `Quick test_unit_disk_one_cell;
+          Alcotest.test_case "single node" `Quick test_unit_disk_single_node;
+          Alcotest.test_case "bucket collisions (n = 2000)" `Quick
+            test_unit_disk_bucket_collisions;
           Alcotest.test_case "toroidal wrap" `Quick test_unit_disk_toroidal;
           prop_toroidal_supergraph;
           Alcotest.test_case "radius/degree roundtrip" `Quick test_radius_for_degree_roundtrip;
+        ] );
+      ( "grid",
+        [
+          Alcotest.test_case "matches brute force" `Quick test_grid_matches_brute_force;
+          Alcotest.test_case "radius larger than the field" `Quick
+            test_grid_radius_larger_than_field;
+          Alcotest.test_case "strict inequality" `Quick test_grid_strictness;
+          Alcotest.test_case "negative coordinates" `Quick test_grid_negative_coordinates;
+          Alcotest.test_case "empty grid" `Quick test_grid_empty;
+          Alcotest.test_case "invalid radius" `Quick test_grid_invalid_radius;
         ] );
       ( "csr",
         [
