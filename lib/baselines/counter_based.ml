@@ -1,63 +1,25 @@
 module Graph = Manet_graph.Graph
-module Nodeset = Manet_graph.Nodeset
-module Rng = Manet_rng.Rng
+module Protocol = Manet_broadcast.Protocol
 
-module H = Manet_sim.Heap.Make (Manet_sim.Event_key)
-
-type event = Reception | Expiry
-
-let broadcast_traced ?(window = 4) ?(threshold = 3) ~rng g ~source =
+let run ?(window = 4) ?(threshold = 3) env ~source ~mode =
   if window < 1 then invalid_arg "Counter_based.broadcast: window must be at least 1";
   if threshold < 1 then invalid_arg "Counter_based.broadcast: threshold must be at least 1";
-  let n = Graph.n g in
+  let n = Graph.n env.Protocol.graph in
   if source < 0 || source >= n then invalid_arg "Counter_based.broadcast: source out of range";
-  let delivered = Array.make n false in
-  let transmitted = Array.make n false in
   let copies = Array.make n 0 in
-  let backoff = Array.init n (fun _ -> 1 + Rng.int rng window) in
-  let forwarders = ref Nodeset.empty in
-  let completion = ref 0 in
-  let events = H.create () in
-  let trace = ref [] in
-  let transmit time v =
-    transmitted.(v) <- true;
-    forwarders := Nodeset.add v !forwarders;
-    trace := (time, v) :: !trace;
-    Graph.iter_neighbors g v (fun u ->
-        H.push events (Manet_sim.Event_key.reception ~time:(time + 1) ~node:u ~sender:v) Reception)
-  in
-  delivered.(source) <- true;
-  transmit 0 source;
-  let rec drain () =
-    match H.pop events with
-    | None -> ()
-    | Some ({ Manet_sim.Event_key.time; node; _ }, ev) ->
-      (match ev with
-      | Reception ->
-        if not delivered.(node) then begin
-          delivered.(node) <- true;
-          completion := time;
-          H.push events (Manet_sim.Event_key.local ~time:(time + backoff.(node)) ~kind:1 ~node) Expiry
-        end;
-        copies.(node) <- copies.(node) + 1
-      | Expiry -> if (not transmitted.(node)) && copies.(node) < threshold then transmit time node);
-      drain ()
-  in
-  drain ();
-  ( { Manet_broadcast.Result.source; forwarders = !forwarders; delivered; completion_time = !completion },
-    List.rev !trace )
+  Protocol.run_backoff env ~window ~source ~mode ~initial:0
+    ~hear:(fun ~node ~from:_ ~payload:_ -> copies.(node) <- copies.(node) + 1)
+    ~expire:(fun ~node ->
+      if copies.(node) < threshold then 0 else Manet_broadcast.Engine.silent)
+
+let broadcast_traced ?window ?threshold ~rng g ~source =
+  run ?window ?threshold (Protocol.make_env ~rng g) ~source ~mode:Protocol.Perfect
 
 let broadcast ?window ?threshold ~rng g ~source =
   fst (broadcast_traced ?window ?threshold ~rng g ~source)
 
-let forward_count ~rng g ~source =
-  Manet_broadcast.Result.forward_count (broadcast ~rng g ~source)
-
 let protocol =
-  Manet_broadcast.Protocol.per_broadcast ~name:"counter"
+  Protocol.per_broadcast ~name:"counter"
     ~description:"counter-based scheme (Ni et al., MOBICOM'99): rebroadcast unless C >= 3 copies heard"
-    ~family:Manet_broadcast.Protocol.Probabilistic
-    (fun env ~source ~mode ->
-      let open Manet_broadcast.Protocol in
-      frozen_lossy env ~source ~mode
-        ~run:(fun ~source -> broadcast_traced ~rng:env.rng env.graph ~source))
+    ~family:Protocol.Probabilistic
+    (fun env ~source ~mode -> run env ~source ~mode)

@@ -20,8 +20,6 @@ val broadcast :
     spot).  @raise Invalid_argument if [window < 1], [threshold < 1] or
     the source is out of range. *)
 
-val forward_count : rng:Manet_rng.Rng.t -> Manet_graph.Graph.t -> source:int -> int
-
 val broadcast_traced :
   ?window:int ->
   ?threshold:int ->
@@ -33,5 +31,7 @@ val broadcast_traced :
     as [(time, node)] pairs in transmission order. *)
 
 val protocol : Manet_broadcast.Protocol.t
-(** [counter] in the protocol registry (defaults: window 4, threshold 3);
-    frozen-replay semantics under loss, like [self-pruning]. *)
+(** [counter] in the protocol registry (defaults: window 4, threshold 3),
+    on the shared backoff loop like [self-pruning]: under loss a node
+    counts only the copies that reached it, so lost duplicates make it
+    forward where a perfect MAC would have suppressed it. *)

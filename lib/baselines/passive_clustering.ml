@@ -1,95 +1,67 @@
 module Graph = Manet_graph.Graph
 module Nodeset = Manet_graph.Nodeset
-module Rng = Manet_rng.Rng
+module Protocol = Manet_broadcast.Protocol
 
 type role = Clusterhead | Gateway | Ordinary
 
 type t = { result : Manet_broadcast.Result.t; roles : role array }
 
 (* Transmissions piggyback the sender's declared state: clusterhead, or
-   (candidate) gateway with the clusterhead neighbors it bridges. *)
-type info = Head_decl | Gateway_decl of Nodeset.t
+   (candidate) gateway with the clusterhead neighbors it bridges.  The
+   payload is the tag; a gateway's bridged set is read from [bridged]
+   at the receiver, written when the gateway transmits. *)
+let head_decl = 0
 
-module H = Manet_sim.Heap.Make (Manet_sim.Event_key)
+let gateway_decl = 1
 
-type event = Reception of info | Decide
-
-let broadcast_traced ?(window = 4) ~rng g ~source =
+let run ?(window = 4) env ~source ~mode =
   if window < 1 then invalid_arg "Passive_clustering.broadcast: window must be at least 1";
-  let n = Graph.n g in
+  let n = Graph.n env.Protocol.graph in
   if source < 0 || source >= n then
     invalid_arg "Passive_clustering.broadcast: source out of range";
   let roles = Array.make n Ordinary in
   let ch_neighbors = Array.make n Nodeset.empty in
   let covered = Array.make n Nodeset.empty in
-  let delivered = Array.make n false in
-  let transmitted = Array.make n false in
-  let backoff = Array.init n (fun _ -> 1 + Rng.int rng window) in
-  let forwarders = ref Nodeset.empty in
-  let completion = ref 0 in
-  let events = H.create () in
-  let trace = ref [] in
-  let transmit time v payload =
-    transmitted.(v) <- true;
-    forwarders := Nodeset.add v !forwarders;
-    trace := (time, v) :: !trace;
-    Graph.iter_neighbors g v (fun u ->
-        H.push events (Manet_sim.Event_key.reception ~time:(time + 1) ~node:u ~sender:v) (Reception payload))
-  in
-  delivered.(source) <- true;
+  let bridged = Array.make n Nodeset.empty in
   roles.(source) <- Clusterhead;
-  transmit 0 source Head_decl;
   (* First declaration wins, decided after the node's backoff so the
      declarations of faster neighbors are heard first:
      - no clusterhead heard -> declare clusterhead and forward;
      - clusterheads heard but all bridged by heard gateways -> ordinary;
      - otherwise -> gateway candidate: forward, announcing its bridged
        clusterheads (two or more make it a full gateway). *)
-  let rec drain () =
-    match H.pop events with
-    | None -> ()
-    | Some ({ Manet_sim.Event_key.time; node; sender; _ }, ev) ->
-      (match ev with
-      | Reception payload ->
-        if not delivered.(node) then begin
-          delivered.(node) <- true;
-          completion := time;
-          H.push events (Manet_sim.Event_key.local ~time:(time + backoff.(node)) ~kind:1 ~node) Decide
-        end;
-        (match payload with
-        | Head_decl -> ch_neighbors.(node) <- Nodeset.add sender ch_neighbors.(node)
-        | Gateway_decl bridged -> covered.(node) <- Nodeset.union covered.(node) bridged)
-      | Decide ->
-        if not transmitted.(node) then begin
-          if Nodeset.is_empty ch_neighbors.(node) then begin
-            roles.(node) <- Clusterhead;
-            transmit time node Head_decl
-          end
-          else if not (Nodeset.subset ch_neighbors.(node) covered.(node)) then begin
-            if Nodeset.cardinal ch_neighbors.(node) >= 2 then roles.(node) <- Gateway;
-            transmit time node (Gateway_decl ch_neighbors.(node))
-          end
-        end);
-      drain ()
+  let result, trace =
+    Protocol.run_backoff env ~window ~source ~mode ~initial:head_decl
+      ~hear:(fun ~node ~from ~payload ->
+        if payload = head_decl then ch_neighbors.(node) <- Nodeset.add from ch_neighbors.(node)
+        else covered.(node) <- Nodeset.union covered.(node) bridged.(from))
+      ~expire:(fun ~node ->
+        let heads = ch_neighbors.(node) in
+        if Nodeset.is_empty heads then begin
+          roles.(node) <- Clusterhead;
+          head_decl
+        end
+        else if not (Nodeset.subset heads covered.(node)) then begin
+          if Nodeset.cardinal heads >= 2 then roles.(node) <- Gateway;
+          bridged.(node) <- heads;
+          gateway_decl
+        end
+        else Manet_broadcast.Engine.silent)
   in
-  drain ();
-  let result =
-    { Manet_broadcast.Result.source; forwarders = !forwarders; delivered; completion_time = !completion }
-  in
-  ({ result; roles }, List.rev !trace)
+  ({ result; roles }, trace)
+
+let broadcast_traced ?window ~rng g ~source =
+  run ?window (Protocol.make_env ~rng g) ~source ~mode:Protocol.Perfect
 
 let broadcast ?window ~rng g ~source = fst (broadcast_traced ?window ~rng g ~source)
 
 let protocol =
-  Manet_broadcast.Protocol.per_broadcast ~name:"passive"
+  Protocol.per_broadcast ~name:"passive"
     ~description:"passive clustering (Kwon and Gerla): roles declared in-flight, gateways may suppress"
-    ~family:Manet_broadcast.Protocol.Probabilistic
+    ~family:Protocol.Probabilistic
     (fun env ~source ~mode ->
-      let open Manet_broadcast.Protocol in
-      frozen_lossy env ~source ~mode
-        ~run:(fun ~source ->
-          let p, trace = broadcast_traced ~rng:env.rng env.graph ~source in
-          (p.result, trace)))
+      let p, trace = run env ~source ~mode in
+      (p.result, trace))
 
 let collect t role =
   let s = ref Nodeset.empty in

@@ -51,5 +51,6 @@ val broadcast_traced :
     as [(time, node)] pairs in transmission order. *)
 
 val protocol : Manet_broadcast.Protocol.t
-(** [passive] in the protocol registry; frozen-replay semantics under
-    loss, like [self-pruning]. *)
+(** [passive] in the protocol registry, on the shared backoff loop like
+    [self-pruning]: under loss a node decides its role from the
+    declarations it actually heard. *)

@@ -1,74 +1,51 @@
 module Graph = Manet_graph.Graph
-module Nodeset = Manet_graph.Nodeset
-module Rng = Manet_rng.Rng
+module Protocol = Manet_broadcast.Protocol
 
-module H = Manet_sim.Heap.Make (Manet_sim.Event_key)
+(* Position of [x] in [v]'s sorted CSR row. *)
+let slot off nbr v x =
+  let lo = ref off.(v) and hi = ref off.(v + 1) in
+  while !hi > !lo do
+    let mid = (!lo + !hi) / 2 in
+    if nbr.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
-type event = Reception | Expiry
-
-let broadcast_traced ?(window = 4) ~rng g ~source =
+let run ?(window = 4) env ~source ~mode =
   if window < 1 then invalid_arg "Self_pruning.broadcast: window must be at least 1";
+  let g = env.Protocol.graph in
   let n = Graph.n g in
   if source < 0 || source >= n then invalid_arg "Self_pruning.broadcast: source out of range";
-  let delivered = Array.make n false in
-  let transmitted = Array.make n false in
-  let heard_from = Array.make n Nodeset.empty in
-  (* Per-node backoffs are drawn up front so results depend only on the
-     generator's state, not on event interleaving. *)
-  let backoff = Array.init n (fun _ -> 1 + Rng.int rng window) in
-  let forwarders = ref Nodeset.empty in
-  let completion = ref 0 in
-  let events = H.create () in
-  let trace = ref [] in
-  let transmit time v =
-    transmitted.(v) <- true;
-    forwarders := Nodeset.add v !forwarders;
-    trace := (time, v) :: !trace;
-    Graph.iter_neighbors g v (fun u ->
-        H.push events (Manet_sim.Event_key.reception ~time:(time + 1) ~node:u ~sender:v) Reception)
-  in
-  delivered.(source) <- true;
-  transmit 0 source;
-  let rec drain () =
-    match H.pop events with
-    | None -> ()
-    | Some ({ Manet_sim.Event_key.time; node; sender; _ }, ev) ->
-      (match ev with
-      | Reception ->
-        if not delivered.(node) then begin
-          delivered.(node) <- true;
-          completion := time;
-          H.push events
-            (Manet_sim.Event_key.local ~time:(time + backoff.(node)) ~kind:1 ~node)
-            Expiry
-        end;
-        heard_from.(node) <- Nodeset.add sender heard_from.(node)
-      | Expiry ->
-        if not transmitted.(node) then begin
-          let covered =
-            Nodeset.fold
-              (fun s acc -> Nodeset.union acc (Graph.closed_neighborhood g s))
-              heard_from.(node) Nodeset.empty
-          in
-          if not (Nodeset.subset (Graph.open_neighborhood g node) covered) then
-            transmit time node
-        end);
-      drain ()
-  in
-  drain ();
-  ( { Manet_broadcast.Result.source; forwarders = !forwarders; delivered; completion_time = !completion },
-    List.rev !trace )
+  let off, nbr = Graph.csr g in
+  (* [heard] flags, per half-edge (v, s), that v heard a copy from s.
+     At v's expiry, [mark.(u) = v] says u lies in N[s] for some heard s,
+     so no per-expiry reset is needed: every node expires at most once. *)
+  let heard = Bytes.make off.(n) '\000' in
+  let mark = Array.make n (-1) in
+  Protocol.run_backoff env ~window ~source ~mode ~initial:0
+    ~hear:(fun ~node ~from ~payload:_ -> Bytes.set heard (slot off nbr node from) '\001')
+    ~expire:(fun ~node ->
+      for i = off.(node) to off.(node + 1) - 1 do
+        if Bytes.get heard i <> '\000' then begin
+          let s = nbr.(i) in
+          mark.(s) <- node;
+          for j = off.(s) to off.(s + 1) - 1 do
+            mark.(nbr.(j)) <- node
+          done
+        end
+      done;
+      let covered = ref true in
+      for i = off.(node) to off.(node + 1) - 1 do
+        if mark.(nbr.(i)) <> node then covered := false
+      done;
+      if !covered then Manet_broadcast.Engine.silent else 0)
+
+let broadcast_traced ?window ~rng g ~source =
+  run ?window (Protocol.make_env ~rng g) ~source ~mode:Protocol.Perfect
 
 let broadcast ?window ~rng g ~source = fst (broadcast_traced ?window ~rng g ~source)
 
-let forward_count ~rng g ~source =
-  Manet_broadcast.Result.forward_count (broadcast ~rng g ~source)
-
 let protocol =
-  Manet_broadcast.Protocol.per_broadcast ~name:"self-pruning"
+  Protocol.per_broadcast ~name:"self-pruning"
     ~description:"backoff neighbor-coverage self-pruning (Lim and Kim): resign if heard copies cover N(v)"
-    ~family:Manet_broadcast.Protocol.Probabilistic
-    (fun env ~source ~mode ->
-      let open Manet_broadcast.Protocol in
-      frozen_lossy env ~source ~mode
-        ~run:(fun ~source -> broadcast_traced ~rng:env.rng env.graph ~source))
+    ~family:Protocol.Probabilistic
+    (fun env ~source ~mode -> run env ~source ~mode)

@@ -28,8 +28,6 @@ val broadcast :
     @raise Invalid_argument if [window < 1] or the source is out of
     range. *)
 
-val forward_count : rng:Manet_rng.Rng.t -> Manet_graph.Graph.t -> source:int -> int
-
 val broadcast_traced :
   ?window:int ->
   rng:Manet_rng.Rng.t ->
@@ -40,7 +38,9 @@ val broadcast_traced :
     as [(time, node)] pairs in transmission order. *)
 
 val protocol : Manet_broadcast.Protocol.t
-(** [self-pruning] in the protocol registry.  Backoffs are drawn from
-    the environment's rng; under loss the forward set is frozen from a
-    loss-free run and replayed ({!Manet_broadcast.Protocol.frozen_lossy}),
-    since the backoff timers have no loss semantics of their own. *)
+(** [self-pruning] in the protocol registry, on the shared backoff loop
+    ({!Manet_broadcast.Protocol.run_backoff}).  Backoffs are drawn from
+    the environment's rng.  Under loss a node only counts the copies it
+    actually heard, so it forwards whenever the surviving copies leave
+    part of its neighborhood uncovered; a node that fails before its
+    timer expires stays silent. *)

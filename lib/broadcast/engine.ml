@@ -16,14 +16,14 @@ let never_down ~time:_ ~node:_ = false
    stores receptions as two unboxed int keys — [hi] is the delivery
    time, [lo] packs [(receiver lsl shift) lor sender] — whose
    lexicographic (hi, lo) order is exactly the (time, receiver, sender)
-   processing order of the seed {!Manet_sim.Event_key} heap.  Keys are
-   unique (a node transmits at most once, so each (time, receiver,
-   sender) triple occurs at most once), hence any correct heap pops the
-   same sequence and results are bit-identical however the arena is
-   reused.  Payloads ride in a parallel [Obj.t] array: the engine is
-   polymorphic in the payload, but within one run all slots hold the
-   same type, and every slot is scrubbed back to an immediate on pop so
-   the arena never pins a finished run's payloads. *)
+   processing order.  Keys are unique (a node transmits at most once,
+   so each (time, receiver, sender) triple occurs at most once), hence
+   any correct heap pops the same sequence and results are
+   bit-identical however the arena is reused.  Payloads ride in a
+   parallel [Obj.t] array: the engine is polymorphic in the payload,
+   but within one run all slots hold the same type, and every slot is
+   scrubbed back to an immediate on pop so the arena never pins a
+   finished run's payloads. *)
 module Arena = struct
   type t = {
     mutable cap : int;
@@ -195,6 +195,34 @@ let materialize (a : Arena.t) ~tick ~n ~source ~completion =
     },
     !trace )
 
+(* Scratch acquisition shared by every loop on the arena: [arena] — by
+   default the calling domain's — or a private fresh arena when that one
+   is already mid-run (a nested broadcast from inside a callback);
+   either way the results are the same.  One generation bump resets the
+   node maps, the heap and the trace. *)
+let with_arena ?arena ~n f =
+  let a =
+    match arena with
+    | Some a when not a.Arena.busy -> a
+    | Some _ -> Arena.create ()
+    | None ->
+      let a = Arena.get () in
+      if a.Arena.busy then Arena.create () else a
+  in
+  ensure_nodes a n;
+  a.gen <- a.gen + 1;
+  a.heap_len <- 0;
+  a.trace_len <- 0;
+  a.busy <- true;
+  match f a with
+  | r ->
+    a.busy <- false;
+    r
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    a.busy <- false;
+    Printexc.raise_with_backtrace e bt
+
 (* The arena, opened up for protocols with bespoke event loops (the
    dynamic backbone's designation events): the same busy-flag
    acquisition, generation bump and (time, node, sender) heap order as
@@ -206,26 +234,12 @@ module Scratch = struct
   type t = { a : Arena.t; tick : int; shift : int; mask : int; n : int }
 
   let with_scratch ?arena ~n f =
-    let a =
-      match arena with
-      | Some a when not a.Arena.busy -> a
-      | Some _ -> Arena.create ()
-      | None ->
-        let a = Arena.get () in
-        if a.Arena.busy then Arena.create () else a
-    in
-    a.busy <- true;
-    Fun.protect ~finally:(fun () -> a.Arena.busy <- false) @@ fun () ->
-    ensure_nodes a n;
-    a.gen <- a.gen + 1;
-    a.heap_len <- 0;
-    a.trace_len <- 0;
+    with_arena ?arena ~n @@ fun a ->
     Manet_graph.Flatset.reset a.pool;
     let shift = bits_for 1 n in
     f { a; tick = a.gen; shift; mask = (1 lsl shift) - 1; n }
 
   let pool s = s.a.Arena.pool
-  let delivered s v = s.a.Arena.delivered.(v) = s.tick
 
   (* Marks [v] delivered; [true] iff it was not already. *)
   let mark_delivered s v =
@@ -253,29 +267,12 @@ end
 
 (* The one event loop shared by every decide-style execution: the
    perfect engine ([drop] never fires), and the lossy engine ([drop]
-   draws from its generator once per reception, in processing order).
-   Scratch comes from [arena] — by default the calling domain's — or a
-   private fresh arena when the caller's is already mid-run (a nested
-   broadcast from inside [decide]); either way the results are the
-   same. *)
+   draws from its generator once per reception, in processing order). *)
 let run_core ?(drop = never_drop) ?(down = never_down) ?arena g ~source ~initial ~decide =
   let n = Graph.n g in
   if source < 0 || source >= n then invalid_arg "Engine.run: source out of range";
-  let a =
-    match arena with
-    | Some a when not a.Arena.busy -> a
-    | Some _ -> Arena.create ()
-    | None ->
-      let a = Arena.get () in
-      if a.Arena.busy then Arena.create () else a
-  in
-  a.busy <- true;
-  Fun.protect ~finally:(fun () -> a.Arena.busy <- false) @@ fun () ->
-  ensure_nodes a n;
-  a.gen <- a.gen + 1;
+  with_arena ?arena ~n @@ fun a ->
   let tick = a.gen in
-  a.heap_len <- 0;
-  a.trace_len <- 0;
   let delivered = a.delivered and transmitted = a.transmitted in
   let off, nbr = Graph.csr g in
   let shift = bits_for 1 n in
@@ -312,6 +309,68 @@ let run_core ?(drop = never_drop) ?(down = never_down) ?arena g ~source ~initial
         | Some p -> transmit time receiver p
         | None -> ()
       end
+    end
+  done;
+  materialize a ~tick ~n ~source ~completion:!completion
+
+(* Per-reception Bernoulli loss on the unboxed draw: [bits53 rng <
+   threshold] decides [float rng 1. < loss] on the same generator step
+   without boxing a float per reception — [loss *. 2^53] is exact
+   scaling by a power of two and the 53-bit draw is exactly
+   representable, so ceil makes the integer comparison equivalent
+   bit-for-bit.  Loss 0 never draws. *)
+let loss_drop rng ~loss =
+  let threshold = int_of_float (Float.ceil (loss *. 9007199254740992.)) in
+  fun () -> threshold > 0 && Manet_rng.Rng.bits53 rng < threshold
+
+let silent = -1
+
+(* The backoff loop: the same arena, heap, [drop] and [down] as
+   [run_core], with one more event kind — a node's own timer.  A
+   reception at time [t] is keyed [2t] and an expiry [2t + 1] (with
+   [sender = node]), so the heap's (key, node, sender) order is
+   (time, receptions before expiries, node, sender).  Keys stay unique:
+   a node transmits once and arms one timer. *)
+let run_backoff ?(drop = never_drop) ?(down = never_down) ?arena g ~source ~initial ~backoff
+    ~hear ~expire =
+  let n = Graph.n g in
+  if source < 0 || source >= n then invalid_arg "Engine.run_backoff: source out of range";
+  with_arena ?arena ~n @@ fun a ->
+  let tick = a.gen in
+  let delivered = a.delivered in
+  let off, nbr = Graph.csr g in
+  let shift = bits_for 1 n in
+  let mask = (1 lsl shift) - 1 in
+  let completion = ref 0 in
+  let transmit time v (payload : int) =
+    Array.unsafe_set a.transmitted v tick;
+    trace_push a time v;
+    let p = Obj.repr payload and key = 2 * (time + 1) in
+    for i = Array.unsafe_get off v to Array.unsafe_get off (v + 1) - 1 do
+      heap_push a key ((Array.unsafe_get nbr i lsl shift) lor v) p
+    done
+  in
+  Array.unsafe_set delivered source tick;
+  transmit 0 source initial;
+  while a.heap_len > 0 do
+    let key = a.heap_hi.(0) and lo = a.heap_lo.(0) in
+    let payload : int = Obj.obj a.heap_pay.(0) in
+    heap_pop_root a;
+    let time = key lsr 1 and node = lo lsr shift in
+    if key land 1 = 0 then begin
+      if not (drop ()) && not (down ~time ~node) then begin
+        if Array.unsafe_get delivered node <> tick then begin
+          Array.unsafe_set delivered node tick;
+          completion := time;
+          heap_push a ((2 * (time + backoff.(node))) + 1) ((node lsl shift) lor node) nil
+        end;
+        hear ~node ~from:(lo land mask) ~payload
+      end
+    end
+    else if not (down ~time ~node) then begin
+      (* An expiry: a node that failed since its first copy stays silent. *)
+      let p = expire ~node in
+      if p <> silent then transmit time node p
     end
   done;
   materialize a ~tick ~n ~source ~completion:!completion

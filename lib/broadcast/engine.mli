@@ -70,17 +70,16 @@ module Scratch : sig
   type t
 
   val with_scratch : ?arena:Arena.t -> n:int -> (t -> 'a) -> 'a
-  (** Acquire scratch for one broadcast over an [n]-node graph: the same
-      busy-flag acquisition and silent fresh-arena fallback as
-      {!run_core} (default: the calling domain's arena), one generation
-      bump resetting the node maps, heap, trace and flatset pool.  The
-      scratch value must not escape the callback. *)
+  (** Acquire scratch for one broadcast over an [n]-node graph through
+      the same function as {!run_core} — busy-flag acquisition with a
+      silent fresh-arena fallback (default: the calling domain's
+      arena), one generation bump resetting the node maps, heap and
+      trace — and also reset the flatset pool.  The scratch value must
+      not escape the callback. *)
 
   val pool : t -> Manet_graph.Flatset.pool
   (** The arena's flatset pool, reset at acquisition: slices created
       here live exactly as long as this broadcast. *)
-
-  val delivered : t -> int -> bool
 
   val mark_delivered : t -> int -> bool
   (** Marks the node delivered; [true] iff it was not already. *)
@@ -171,3 +170,41 @@ val run_core :
     arena ({!Arena.get}), so repeated broadcasts on one domain already
     reuse storage.  Results and timelines are bit-identical for any
     arena state — see {!Arena}. *)
+
+val loss_drop : Manet_rng.Rng.t -> loss:float -> unit -> bool
+(** [loss_drop rng ~loss] is the [drop] closure of per-reception
+    Bernoulli loss: each call draws once from [rng] and answers [true]
+    with probability [loss], bit-identically to
+    [Rng.float rng 1. < loss] but without boxing a float.  At [loss = 0.]
+    it never draws, so a zero-loss run is bit-identical to a perfect
+    one.  The caller validates [loss]. *)
+
+val silent : int
+(** The [expire] verdict of a node that stays silent. *)
+
+val run_backoff :
+  ?drop:(unit -> bool) ->
+  ?down:(time:int -> node:int -> bool) ->
+  ?arena:Arena.t ->
+  Manet_graph.Graph.t ->
+  source:int ->
+  initial:int ->
+  backoff:int array ->
+  hear:(node:int -> from:int -> payload:int -> unit) ->
+  expire:(node:int -> int) ->
+  Result.t * (int * int) list
+(** The event loop of the backoff schemes (self-pruning, counter-based,
+    passive clustering), where a node decides at a local timer, not at
+    a reception.  The source transmits [initial] at time 0.  Every copy
+    that survives [drop] and [down] is passed to [hear]; a node's first
+    such copy, at time [t], also delivers it and arms its timer for
+    [t + backoff.(node)] (non-negative).  At expiry the node transmits
+    [expire ~node] unless that is {!silent} or [down] then holds for it:
+    a node that failed after hearing the packet stays silent.
+
+    Events run in (time, kind, node, sender) order, receptions before
+    expiries, so copies arriving as a timer fires still count.  [drop]
+    is consulted once per reception in that order, [down] after it, and
+    arena handling is {!run_core}'s.  Payloads are immediate ints, so
+    the loop allocates nothing per event.
+    @raise Invalid_argument if [source] is out of range. *)

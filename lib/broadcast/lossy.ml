@@ -1,14 +1,6 @@
-module Rng = Manet_rng.Rng
-
 let run_traced ?arena g ~rng ~loss ~source ~initial ~decide =
   if loss < 0. || loss > 1. then invalid_arg "Lossy.run: loss must be within [0, 1]";
-  (* Same unboxed draw as [Protocol.run_decide]: an int comparison
-     against [ceil (loss *. 2^53)] is bit-identical to
-     [Rng.float rng 1. < loss] on the same generator step. *)
-  let threshold = int_of_float (Float.ceil (loss *. 9007199254740992.)) in
-  Engine.run_core
-    ~drop:(fun () -> threshold > 0 && Rng.bits53 rng < threshold)
-    ?arena g ~source ~initial ~decide
+  Engine.run_core ~drop:(Engine.loss_drop rng ~loss) ?arena g ~source ~initial ~decide
 
 let run ?arena g ~rng ~loss ~source ~initial ~decide =
   fst (run_traced ?arena g ~rng ~loss ~source ~initial ~decide)

@@ -65,25 +65,27 @@ type t = {
   prepare : env -> built;
 }
 
-(* The uniform pipeline: one engine core, three modes.  A [Lossy 0.]
-   drop closure never draws from the generator (see [Lossy.run]), so
-   loss 0 is bit-identical to [Perfect]. *)
-let run_decide env ~source ~mode ~initial ~decide =
-  let down = env.down in
-  match mode with
-  | Perfect -> Engine.run_core ?down ~arena:env.arena env.graph ~source ~initial ~decide
+(* The reception-loss closure of [mode], drawing from the environment's
+   generator; [None] (never drop) under [Perfect].  A [Lossy 0.]
+   closure never draws, so loss 0 is bit-identical to [Perfect]. *)
+let drop env = function
+  | Perfect -> None
   | Lossy loss ->
     if loss < 0. || loss > 1. then invalid_arg "Protocol.run: loss must be within [0, 1]";
-    let rng = env.rng in
-    (* [bits53 rng < threshold] decides [float rng 1. < loss] on the
-       same generator draw without boxing a float per reception:
-       [loss *. 2^53] is exact scaling by a power of two, and the
-       53-bit draw is exactly representable, so ceil makes the integer
-       comparison equivalent bit-for-bit. *)
-    let threshold = int_of_float (Float.ceil (loss *. 9007199254740992.)) in
-    Engine.run_core
-      ~drop:(fun () -> threshold > 0 && Rng.bits53 rng < threshold)
-      ?down ~arena:env.arena env.graph ~source ~initial ~decide
+    Some (Engine.loss_drop env.rng ~loss)
+
+(* The uniform pipeline: one engine core, three modes. *)
+let run_decide env ~source ~mode ~initial ~decide =
+  Engine.run_core ?drop:(drop env mode) ?down:env.down ~arena:env.arena env.graph ~source
+    ~initial ~decide
+
+let run_backoff env ~window ~source ~mode ~initial ~hear ~expire =
+  let rng = env.rng in
+  (* Drawn up front, in node order, so results depend only on the
+     generator's state, not on event interleaving. *)
+  let backoff = Array.init (Graph.n env.graph) (fun _ -> 1 + Rng.int rng window) in
+  Engine.run_backoff ?drop:(drop env mode) ?down:env.down ~arena:env.arena env.graph ~source
+    ~initial ~backoff ~hear ~expire
 
 let si_decide members ~node ~from:_ ~payload:() =
   if Nodeset.mem node members then Some () else None

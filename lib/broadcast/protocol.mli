@@ -15,10 +15,11 @@
     executes one broadcast.  Protocols built from a [decide] callback
     (see {!Engine}) run {e unchanged} under the perfect engine, the
     traced engine and the {!Lossy} failure-injection engine — the three
-    modes share one event loop ({!Engine.run_core}) — while protocols
-    with bespoke event loops (the dynamic backbone's designation events,
-    the backoff schemes' timers) plug in their native runs and fall back
-    to {!frozen_lossy} replay under loss.
+    modes share one event loop ({!Engine.run_core}).  The backoff
+    schemes run on its timer-driven sibling ({!run_backoff}) with the
+    same loss and failure semantics; only the dynamic backbone, whose
+    designation events have no loss model, plugs in its native run and
+    falls back to {!frozen_lossy} replay under loss.
 
     The registry of every protocol in the repository lives one layer up,
     in [Manet_protocols.Registry]; this module only defines the
@@ -176,21 +177,41 @@ val run_decide :
     both engines through this one funnel.
     @raise Invalid_argument if a [Lossy] loss is outside [\[0, 1\]]. *)
 
+val run_backoff :
+  env ->
+  window:int ->
+  source:int ->
+  mode:mode ->
+  initial:int ->
+  hear:(node:int -> from:int -> payload:int -> unit) ->
+  expire:(node:int -> int) ->
+  Result.t * (int * int) list
+(** The pipeline of the backoff schemes: draw one backoff of
+    1..[window] time units per node from [env.rng], in node order, then
+    run {!Engine.run_backoff} under the requested mode — the same loss
+    closure as {!run_decide}, the environment's [down] schedule and its
+    arena.  Loss and failures act natively: a dropped copy is never
+    heard, and a node that fails before its timer expires stays silent.
+    [window] must be at least 1 (the schemes validate it).
+    @raise Invalid_argument if a [Lossy] loss is outside [\[0, 1\]]. *)
+
 val frozen_lossy :
   env ->
   run:(source:int -> Result.t * (int * int) list) ->
   source:int ->
   mode:mode ->
   Result.t * (int * int) list
-(** For protocols whose native event loop has no loss or failure
-    semantics (the dynamic backbone's designation signals, the backoff
-    schemes' timers): under [Perfect] or [Lossy 0.] with no [down]
-    schedule, just [run]; otherwise freeze the forward set from a
-    clean native [run], then replay it as an SI-CDS broadcast through
-    the uniform pipeline — the designations are decided loss- and
-    failure-free, only the data propagation is unreliable.  This is
-    the sparsest-case treatment the lossy-links experiment has always
-    used for the dynamic backbone, extended to node failures. *)
+(** For the dynamic backbone, whose designation events are control
+    signals with no loss model of their own: under [Perfect] or
+    [Lossy 0.] with no [down] schedule, just [run]; otherwise freeze the
+    forward set from a clean native [run], then replay it as an SI-CDS
+    broadcast through the uniform pipeline — the designations are
+    decided loss- and failure-free, only the data propagation is
+    unreliable.  This is the sparsest-case treatment the lossy-links
+    experiment has always used for the dynamic backbone, extended to
+    node failures.  The backoff schemes do not need it: a backoff timer
+    is local, and loss applies to their data copies directly (see
+    {!run_backoff}). *)
 
 val delivery_ratio : t -> env -> loss:float -> source:int -> float
 (** [delivery_ratio p env ~loss ~source]: prepare [p] and run one

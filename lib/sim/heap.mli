@@ -1,9 +1,9 @@
 (** Binary min-heaps over an ordered key type.
 
-    The priority queue behind the discrete-event engine and the
-    broadcast-propagation engines.  Keys carry the full ordering — engines
-    embed a sequence number in the key to make processing order
-    deterministic among simultaneous events. *)
+    The priority queue behind {!Timeline}, the serving loop's event
+    clock.  Keys carry the full ordering — a client embeds a sequence
+    number in the key to make processing order deterministic among
+    simultaneous events. *)
 
 module Make (Ord : sig
   type t

@@ -447,6 +447,136 @@ let test_counter_sparse_delivery_degrades () =
     true
     (mean > 0.7 && mean < 0.99)
 
+(* Perfect-mode outputs of the three backoff schemes, pinned: one
+   digest per scheme setting over (forwarders, delivered, completion
+   time, timeline) — plus passive clustering's roles — on 50 seeded
+   unit-disk graphs.  The pins were recorded from the per-scheme event
+   loops that the shared backoff loop replaced, so any change to the
+   reception/expiry order or to a forwarding rule shows up here. *)
+let backoff_cases =
+  lazy
+    (List.init 50 (fun i ->
+         let n = 12 + (i * 13 mod 50) in
+         let d = Float.min (List.nth [ 6.; 8.; 12.; 18. ] (i mod 4)) (float_of_int (n - 2)) in
+         (udg ~seed:(9000 + i) ~n ~d).graph))
+
+let backoff_digest run =
+  let buf = Buffer.create 65536 in
+  List.iteri
+    (fun i g ->
+      let (r : Result.t), timeline, extra =
+        run ~rng:(Manet_rng.Rng.create ~seed:(500 + i)) g ~source:(i * 7 mod Graph.n g)
+      in
+      Nodeset.iter (fun v -> Printf.bprintf buf "%d," v) r.forwarders;
+      Array.iter (fun d -> Buffer.add_char buf (if d then '1' else '0')) r.delivered;
+      Printf.bprintf buf "|%d|" r.completion_time;
+      List.iter (fun (t, v) -> Printf.bprintf buf "%d:%d," t v) timeline;
+      Buffer.add_string buf extra;
+      Buffer.add_char buf '\n')
+    (Lazy.force backoff_cases);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let roles_tag (p : Passive.t) =
+  String.concat ""
+    (Array.to_list
+       (Array.map
+          (function Passive.Clusterhead -> "h" | Passive.Gateway -> "g" | Passive.Ordinary -> "o")
+          p.roles))
+
+let pinned_backoff_digests =
+  let sp ?window () ~rng g ~source =
+    let r, t = Self_pruning.broadcast_traced ?window ~rng g ~source in
+    (r, t, "")
+  in
+  let ctr ?window ?threshold () ~rng g ~source =
+    let r, t = Counter.broadcast_traced ?window ?threshold ~rng g ~source in
+    (r, t, "")
+  in
+  let pc ?window () ~rng g ~source =
+    let p, t = Passive.broadcast_traced ?window ~rng g ~source in
+    (p.result, t, roles_tag p)
+  in
+  [
+    ("self-pruning", "06c8b3c420bab0e02fbdccdbfeff9842", sp ());
+    ("self-pruning window 1", "b9eb2e79211717eeaa1f0da9d21f02c7", sp ~window:1 ());
+    ("self-pruning window 8", "19314beec79d3a0ab79cd05310c56986", sp ~window:8 ());
+    ("counter", "e7780175e5a9e8d3fcd0c14d830a9cb6", ctr ());
+    ("counter window 6 threshold 2", "dae1c7423b338da637e7046bfde39c7d", ctr ~window:6 ~threshold:2 ());
+    ("counter window 2 threshold 5", "20801a339ac6ff4b85aa006632631f89", ctr ~window:2 ~threshold:5 ());
+    ("passive", "174863ded0f7730ecfe6e99d22becf30", pc ());
+    ("passive window 1", "a8d061802518fc7d4a5a7dee796782c5", pc ~window:1 ());
+    ("passive window 8", "273ac4d467f3dddf7b4d20772be7e4b5", pc ~window:8 ());
+  ]
+
+let test_backoff_digests () =
+  List.iter
+    (fun (name, expected, run) -> Alcotest.(check string) name expected (backoff_digest run))
+    pinned_backoff_digests
+
+(* Loss and node failure act on the backoff schemes natively: a lost
+   copy is never heard, and a timer belongs to a node that can fail. *)
+
+module Protocol = Manet_broadcast.Protocol
+module Engine = Manet_broadcast.Engine
+
+let backoff_protocols = [ Self_pruning.protocol; Counter.protocol; Passive.protocol ]
+
+let run_protocol ?down (p : Protocol.t) g ~seed ~source ~mode =
+  let env = Protocol.make_env ?down ~rng:(Manet_rng.Rng.create ~seed) g in
+  (p.prepare env).run ~source ~mode
+
+let test_backoff_total_loss () =
+  let g = (udg ~seed:12 ~n:40 ~d:8.).graph in
+  List.iter
+    (fun (p : Protocol.t) ->
+      let r, timeline = run_protocol p g ~seed:3 ~source:5 ~mode:(Protocol.Lossy 1.0) in
+      Alcotest.check nodeset (p.name ^ ": only the source transmits") (Nodeset.singleton 5)
+        r.forwarders;
+      Alcotest.(check (list (pair int int))) (p.name ^ ": timeline") [ (0, 5) ] timeline;
+      Alcotest.(check int) (p.name ^ ": only the source delivered") 1
+        (Array.fold_left (fun k d -> if d then k + 1 else k) 0 r.delivered))
+    backoff_protocols;
+  (* On the loop itself: no copy survives, so nobody hears one and no
+     timer is ever armed. *)
+  let calls = ref 0 in
+  let r, _ =
+    Engine.run_backoff ~drop:(fun () -> true) g ~source:5 ~initial:0
+      ~backoff:(Array.make (Graph.n g) 1)
+      ~hear:(fun ~node:_ ~from:_ ~payload:_ -> incr calls)
+      ~expire:(fun ~node:_ -> incr calls; 0)
+  in
+  Alcotest.(check int) "no callback fires" 0 !calls;
+  Alcotest.(check int) "one forwarder" 1 (Result.forward_count r)
+
+(* K5 from node 0, rng seed 9: with a perfect MAC node 4 hears three
+   copies (the source's and two earlier forwarders') before its timer
+   expires and stays silent; under loss 0.3 one of them is dropped, so
+   it hears fewer than the threshold and forwards.  A forward set frozen
+   from the loss-free run could never contain it. *)
+let test_counter_lost_copies_forward () =
+  let g = Graph.complete 5 in
+  let perfect, _ = run_protocol Counter.protocol g ~seed:9 ~source:0 ~mode:Protocol.Perfect in
+  let lossy, _ = run_protocol Counter.protocol g ~seed:9 ~source:0 ~mode:(Protocol.Lossy 0.3) in
+  Alcotest.(check bool) "suppressed with a perfect MAC" false (Nodeset.mem 4 perfect.forwarders);
+  Alcotest.(check bool) "forwards under loss" true (Nodeset.mem 4 lossy.forwarders)
+
+(* On the path 0-1-2, node 1 first hears the packet at time 1 and every
+   scheme would forward it (node 2 is uncovered); failing it from time 2
+   on, before its backoff of at least one unit expires, silences it. *)
+let test_backoff_failure_before_expiry () =
+  let g = Graph.path 3 in
+  let down ~time ~node = node = 1 && time >= 2 in
+  List.iter
+    (fun (p : Protocol.t) ->
+      let perfect, _ = run_protocol p g ~seed:1 ~source:0 ~mode:Protocol.Perfect in
+      Alcotest.(check bool) (p.name ^ ": forwards when alive") true
+        (Nodeset.mem 1 perfect.forwarders);
+      let r, _ = run_protocol ~down p g ~seed:1 ~source:0 ~mode:Protocol.Perfect in
+      Alcotest.(check bool) (p.name ^ ": heard the packet") true r.delivered.(1);
+      Alcotest.(check bool) (p.name ^ ": silent after failing") false (Nodeset.mem 1 r.forwarders);
+      Alcotest.(check bool) (p.name ^ ": node 2 never reached") false r.delivered.(2))
+    backoff_protocols
+
 (* Passive clustering *)
 
 let test_passive_paper_graph () =
@@ -597,6 +727,15 @@ let () =
           prop_mpr_sets_cover;
           prop_mpr_delivers;
           Alcotest.test_case "shared sets" `Quick test_mpr_shared_sets;
+        ] );
+      ( "backoff",
+        [
+          Alcotest.test_case "perfect-mode digests pinned" `Quick test_backoff_digests;
+          Alcotest.test_case "total loss leaves only the source" `Quick test_backoff_total_loss;
+          Alcotest.test_case "lost copies make a counter node forward" `Quick
+            test_counter_lost_copies_forward;
+          Alcotest.test_case "failure before expiry keeps a node silent" `Quick
+            test_backoff_failure_before_expiry;
         ] );
       ("cross", [ Alcotest.test_case "everybody beats flooding" `Quick test_everybody_beats_flooding ]);
     ]
