@@ -5,35 +5,48 @@ let never_drop () = false
 
 let never_down ~time:_ ~node:_ = false
 
-(* Reusable per-worker scratch for {!run_core}.  A broadcast needs two
-   per-node maps (delivered/transmitted), a pending-reception priority
-   queue and a transmission timeline; the arena keeps all of them alive
-   between runs so a sweep's per-broadcast engine allocations are O(1)
-   steady state instead of O(n + receptions).
+let nil = Obj.repr 0
+
+(* Reusable per-worker scratch for every broadcast loop.  The arena
+   keeps all per-run buffers alive between runs so a sweep's
+   per-broadcast engine allocations are O(1) steady state instead of
+   O(n + receptions).
 
    The node maps are generation-tagged: [delivered.(v) = gen] means
-   delivered in the current run, so reset is one counter bump.  The heap
-   stores receptions as two unboxed int keys — [hi] is the delivery
-   time, [lo] packs [(receiver lsl shift) lor sender] — whose
-   lexicographic (hi, lo) order is exactly the (time, receiver, sender)
-   processing order.  Keys are unique (a node transmits at most once,
-   so each (time, receiver, sender) triple occurs at most once), hence
-   any correct heap pops the same sequence and results are
-   bit-identical however the arena is reused.  Payloads ride in a
-   parallel [Obj.t] array: the engine is polymorphic in the payload,
-   but within one run all slots hold the same type, and every slot is
-   scrubbed back to an immediate on pop so the arena never pins a
-   finished run's payloads. *)
+   delivered in the current run, so reset is one counter bump.
+
+   {!run_core} walks the broadcast one time level at a time.  A node
+   that transmits records its time in [tx_time] and its payload in its
+   own [payload] slot; the trace buffer lists each level's transmitters
+   contiguously and in ascending order.  [frontier] collects a level's
+   candidate receivers, deduplicated by stamping [seen] with a
+   per-level [stamp] that only ever grows.  The payload slots are typed
+   [Obj.t]: the engine is polymorphic in the payload, but within one run
+   all slots hold the same type, and every written slot is scrubbed
+   back to an immediate when the run returns so the arena never pins a
+   finished run's payloads.
+
+   The heap serves the loops whose events do not arrive one level at a
+   time ({!Scratch}'s designations, {!run_backoff}'s timers).  It
+   stores events as two unboxed int keys — [hi] is the time, [lo]
+   packs [(node lsl shift) lor sender] — whose lexicographic (hi, lo)
+   order is the (time, node, sender) processing order, and an int
+   payload beside them. *)
 module Arena = struct
   type t = {
     mutable cap : int;
     mutable gen : int;
     mutable delivered : int array;
     mutable transmitted : int array;
+    mutable tx_time : int array;
+    mutable payload : Obj.t array;
+    mutable seen : int array;
+    mutable stamp : int;
+    mutable frontier : int array;
     mutable fwd : int array;  (** compaction buffer for the forward set *)
     mutable heap_hi : int array;
     mutable heap_lo : int array;
-    mutable heap_pay : Obj.t array;
+    mutable heap_pay : int array;
     mutable heap_len : int;
     mutable trace_time : int array;
     mutable trace_node : int array;
@@ -51,6 +64,11 @@ module Arena = struct
       gen = 0;
       delivered = [||];
       transmitted = [||];
+      tx_time = [||];
+      payload = [||];
+      seen = [||];
+      stamp = 0;
+      frontier = [||];
       fwd = [||];
       heap_hi = [||];
       heap_lo = [||];
@@ -70,19 +88,19 @@ module Arena = struct
     if a.cap < n then begin
       a.delivered <- Array.make n 0;
       a.transmitted <- Array.make n 0;
+      a.tx_time <- Array.make n 0;
+      a.payload <- Array.make n nil;
+      a.seen <- Array.make n 0;
+      a.frontier <- Array.make n 0;
       a.fwd <- Array.make n 0;
       a.cap <- n
     end
 end
 
-let nil = Obj.repr 0
-
-let ensure_nodes (a : Arena.t) n = Arena.reserve a ~n
-
 let heap_grow (a : Arena.t) =
   let cap = Array.length a.heap_hi in
   let ncap = if cap = 0 then 256 else 2 * cap in
-  let hi = Array.make ncap 0 and lo = Array.make ncap 0 and pay = Array.make ncap nil in
+  let hi = Array.make ncap 0 and lo = Array.make ncap 0 and pay = Array.make ncap 0 in
   Array.blit a.heap_hi 0 hi 0 a.heap_len;
   Array.blit a.heap_lo 0 lo 0 a.heap_len;
   Array.blit a.heap_pay 0 pay 0 a.heap_len;
@@ -113,8 +131,7 @@ let heap_push (a : Arena.t) hi lo pay =
   Array.unsafe_set l !i lo;
   Array.unsafe_set p !i pay
 
-(* Removes the minimum; the caller has already read the root.  The freed
-   payload slot is scrubbed so finished runs leave no live pointers. *)
+(* Removes the minimum; the caller has already read the root. *)
 let heap_pop_root (a : Arena.t) =
   let last = a.heap_len - 1 in
   a.heap_len <- last;
@@ -147,8 +164,7 @@ let heap_pop_root (a : Arena.t) =
     Array.unsafe_set h !i xh;
     Array.unsafe_set l !i xl;
     Array.unsafe_set p !i xp
-  end;
-  Array.unsafe_set p last nil
+  end
 
 let trace_push (a : Arena.t) time v =
   if a.trace_len = Array.length a.trace_time then begin
@@ -209,7 +225,7 @@ let with_arena ?arena ~n f =
       let a = Arena.get () in
       if a.Arena.busy then Arena.create () else a
   in
-  ensure_nodes a n;
+  Arena.reserve a ~n;
   a.gen <- a.gen + 1;
   a.heap_len <- 0;
   a.trace_len <- 0;
@@ -225,9 +241,9 @@ let with_arena ?arena ~n f =
 
 (* The arena, opened up for protocols with bespoke event loops (the
    dynamic backbone's designation events): the same busy-flag
-   acquisition, generation bump and (time, node, sender) heap order as
-   [run_core], with the payload restricted to an immediate int so a
-   bespoke loop allocates nothing per event.  [with_scratch] also resets
+   acquisition and generation bump as [run_core], and the arena's
+   (time, node, sender) event heap, whose int payloads let a bespoke
+   loop allocate nothing per event.  [with_scratch] also resets
    the arena's flatset pool, scoping every {!Manet_graph.Flatset.t} the
    loop creates to this one broadcast. *)
 module Scratch = struct
@@ -254,62 +270,100 @@ module Scratch = struct
   let trace s ~time ~node = trace_push s.a time node
 
   let push s ~time ~node ~sender ~payload =
-    heap_push s.a time ((node lsl s.shift) lor sender) (Obj.repr (payload : int))
+    heap_push s.a time ((node lsl s.shift) lor sender) payload
 
   let heap_empty s = s.a.Arena.heap_len = 0
   let min_time s = s.a.Arena.heap_hi.(0)
   let min_node s = s.a.Arena.heap_lo.(0) lsr s.shift
   let min_sender s = s.a.Arena.heap_lo.(0) land s.mask
-  let min_payload s = (Obj.obj s.a.Arena.heap_pay.(0) : int)
+  let min_payload s = s.a.Arena.heap_pay.(0)
   let drop_min s = heap_pop_root s.a
   let finish s ~source ~completion = materialize s.a ~tick:s.tick ~n:s.n ~source ~completion
 end
 
 (* The one event loop shared by every decide-style execution: the
    perfect engine ([drop] never fires), and the lossy engine ([drop]
-   draws from its generator once per reception, in processing order). *)
+   draws from its generator once per reception, in processing order).
+
+   Every transmission reaches its neighbours exactly one time unit
+   later, so the receptions of time [t + 1] are exactly the edges into
+   the level-[t] transmitters.  The loop visits them in (time, receiver,
+   sender) order without a queue: the level's candidate receivers (the
+   union of its transmitters' rows) sorted ascending, and within each
+   candidate's sorted row the neighbours that transmitted at [t]. *)
 let run_core ?(drop = never_drop) ?(down = never_down) ?arena g ~source ~initial ~decide =
   let n = Graph.n g in
   if source < 0 || source >= n then invalid_arg "Engine.run: source out of range";
   with_arena ?arena ~n @@ fun a ->
   let tick = a.gen in
   let delivered = a.delivered and transmitted = a.transmitted in
+  let tx_time = a.tx_time and payload = a.payload in
+  let seen = a.seen and frontier = a.frontier in
   let off, nbr = Graph.csr g in
-  let shift = bits_for 1 n in
-  let mask = (1 lsl shift) - 1 in
   let completion = ref 0 in
-  let transmit time v payload =
+  let transmit time v p =
     Array.unsafe_set transmitted v tick;
-    trace_push a time v;
-    let p = Obj.repr payload in
-    let t1 = time + 1 in
-    for i = Array.unsafe_get off v to Array.unsafe_get off (v + 1) - 1 do
-      heap_push a t1 ((Array.unsafe_get nbr i lsl shift) lor v) p
-    done
+    Array.unsafe_set tx_time v time;
+    Array.unsafe_set payload v (Obj.repr p);
+    trace_push a time v
   in
   Array.unsafe_set delivered source tick;
   transmit 0 source initial;
-  while a.heap_len > 0 do
-    let time = a.heap_hi.(0) and key = a.heap_lo.(0) in
-    let payload = a.heap_pay.(0) in
-    heap_pop_root a;
-    (* A failed node neither receives nor (therefore) forwards; the
-       [down] guard sits after [drop] so the loss stream is identical
-       with and without failures. *)
-    if not (drop ()) && not (down ~time ~node:(key lsr shift)) then begin
-      let receiver = key lsr shift in
-      if Array.unsafe_get delivered receiver <> tick then begin
-        Array.unsafe_set delivered receiver tick;
-        completion := time
-      end;
-      (* Every copy is offered to the node until it transmits: a forward
-         designation can arrive in a later copy than the first. *)
-      if Array.unsafe_get transmitted receiver <> tick then begin
-        match decide ~node:receiver ~from:(key land mask) ~payload:(Obj.obj payload) with
-        | Some p -> transmit time receiver p
-        | None -> ()
-      end
-    end
+  let first = ref 0 and level = ref 0 in
+  while !first < a.trace_len do
+    let last = a.trace_len and sent = !level in
+    let time = sent + 1 in
+    (* The level's candidate receivers: the union of its transmitters'
+       rows, deduplicated by stamp, in ascending order. *)
+    a.stamp <- a.stamp + 1;
+    let stamp = a.stamp and k = ref 0 in
+    for j = !first to last - 1 do
+      let w = Array.unsafe_get a.trace_node j in
+      for i = Array.unsafe_get off w to Array.unsafe_get off (w + 1) - 1 do
+        let u = Array.unsafe_get nbr i in
+        if Array.unsafe_get seen u <> stamp then begin
+          Array.unsafe_set seen u stamp;
+          Array.unsafe_set frontier !k u;
+          incr k
+        end
+      done
+    done;
+    Graph.sort_range frontier 0 !k;
+    (* Their receptions, in (receiver, sender) order. *)
+    for c = 0 to !k - 1 do
+      let u = Array.unsafe_get frontier c in
+      for i = Array.unsafe_get off u to Array.unsafe_get off (u + 1) - 1 do
+        let w = Array.unsafe_get nbr i in
+        (* A failed node neither receives nor (therefore) forwards; the
+           [down] guard sits after [drop] so the loss stream is
+           identical with and without failures. *)
+        if
+          Array.unsafe_get transmitted w = tick
+          && Array.unsafe_get tx_time w = sent
+          && (not (drop ()))
+          && not (down ~time ~node:u)
+        then begin
+          if Array.unsafe_get delivered u <> tick then begin
+            Array.unsafe_set delivered u tick;
+            completion := time
+          end;
+          (* Every copy is offered to the node until it transmits: a
+             forward designation can arrive in a later copy than the
+             first, even within one time unit. *)
+          if Array.unsafe_get transmitted u <> tick then begin
+            match decide ~node:u ~from:w ~payload:(Obj.obj (Array.unsafe_get payload w)) with
+            | Some p -> transmit time u p
+            | None -> ()
+          end
+        end
+      done
+    done;
+    first := last;
+    level := time
+  done;
+  (* The arena must not pin this run's payloads. *)
+  for j = 0 to a.trace_len - 1 do
+    Array.unsafe_set payload (Array.unsafe_get a.trace_node j) nil
   done;
   materialize a ~tick ~n ~source ~completion:!completion
 
@@ -325,8 +379,9 @@ let loss_drop rng ~loss =
 
 let silent = -1
 
-(* The backoff loop: the same arena, heap, [drop] and [down] as
-   [run_core], with one more event kind — a node's own timer.  A
+(* The backoff loop: the same arena, [drop] and [down] as [run_core],
+   on the arena's event heap, since a node's own timer is one more
+   event kind.  A
    reception at time [t] is keyed [2t] and an expiry [2t + 1] (with
    [sender = node]), so the heap's (key, node, sender) order is
    (time, receptions before expiries, node, sender).  Keys stay unique:
@@ -342,19 +397,19 @@ let run_backoff ?(drop = never_drop) ?(down = never_down) ?arena g ~source ~init
   let shift = bits_for 1 n in
   let mask = (1 lsl shift) - 1 in
   let completion = ref 0 in
-  let transmit time v (payload : int) =
+  let transmit time v payload =
     Array.unsafe_set a.transmitted v tick;
     trace_push a time v;
-    let p = Obj.repr payload and key = 2 * (time + 1) in
+    let key = 2 * (time + 1) in
     for i = Array.unsafe_get off v to Array.unsafe_get off (v + 1) - 1 do
-      heap_push a key ((Array.unsafe_get nbr i lsl shift) lor v) p
+      heap_push a key ((Array.unsafe_get nbr i lsl shift) lor v) payload
     done
   in
   Array.unsafe_set delivered source tick;
   transmit 0 source initial;
   while a.heap_len > 0 do
     let key = a.heap_hi.(0) and lo = a.heap_lo.(0) in
-    let payload : int = Obj.obj a.heap_pay.(0) in
+    let payload = a.heap_pay.(0) in
     heap_pop_root a;
     let time = key lsr 1 and node = lo lsr shift in
     if key land 1 = 0 then begin
@@ -362,7 +417,7 @@ let run_backoff ?(drop = never_drop) ?(down = never_down) ?arena g ~source ~init
         if Array.unsafe_get delivered node <> tick then begin
           Array.unsafe_set delivered node tick;
           completion := time;
-          heap_push a ((2 * (time + backoff.(node))) + 1) ((node lsl shift) lor node) nil
+          heap_push a ((2 * (time + backoff.(node))) + 1) ((node lsl shift) lor node) 0
         end;
         hear ~node ~from:(lo land mask) ~payload
       end

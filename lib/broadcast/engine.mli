@@ -20,23 +20,30 @@
 
     Determinism: receptions are processed in (time, receiver, sender)
     order, so when several copies arrive in the same time unit the
-    receiver sees the one from the smallest sender id. *)
+    receiver sees the one from the smallest sender id.  Because every
+    transmission arrives exactly one time unit later, {!run_core} needs
+    no event queue: it walks the broadcast one time level at a time
+    (see {!run_core}). *)
 
 module Arena : sig
   type t
   (** Reusable engine scratch: generation-tagged delivered/transmitted
-      maps, the pending-reception heap and the transmission timeline.
-      Reusing an arena across broadcasts makes the engine's steady-state
-      allocation O(1) (only the caller-owned {!Result.t} and timeline
-      are built per run) and never changes results — runs are
-      bit-identical whether the arena is fresh, reused, or absent.
+      maps, {!run_core}'s per-node transmit times and payload slots and
+      its frontier buffer, the event heap of {!Scratch} and
+      {!run_backoff}, and the transmission timeline.  Reusing an arena
+      across broadcasts makes the engine's steady-state allocation O(1)
+      (only the caller-owned {!Result.t} and timeline are built per
+      run) and never changes results — runs are bit-identical whether
+      the arena is fresh, reused, or absent.  A run that returns leaves
+      no payload behind: {!run_core} scrubs the slots it wrote.
 
       Ownership: an arena is single-threaded state.  One arena must not
       be shared between concurrently running domains; keep one arena per
       worker (that is what {!get} provides).  Reentrancy is safe: a
       broadcast started from inside another broadcast's [decide] finds
       the arena mid-run and silently falls back to a private fresh
-      one. *)
+      one.  Every per-run buffer lives in the arena, so the nested run
+      cannot touch the outer run's transmit times or payloads. *)
 
   val create : unit -> t
   (** A fresh, empty arena.  Buffers grow to fit the largest graph it
@@ -57,15 +64,16 @@ end
 (** The arena opened up for protocols with bespoke event loops (the
     dynamic backbone's designation events, which {!run_core}'s
     decide-callback shape cannot express): the same generation-tagged
-    delivered/transmitted maps, the same unboxed (time, node, sender)
-    reception heap, and the arena's {!Manet_graph.Flatset.pool} for the
-    loop's transient coverage sets.  Payloads are restricted to
-    immediate ints, so a bespoke loop pushes and pops events without
-    allocating.  Event processing order is exactly {!run_core}'s:
-    (time, node, sender) lexicographic; events carrying {e equal} keys
-    (possible when a designation and a data copy arrive together) pop in
-    unspecified relative order, so loops must keep the handling of
-    equal-key events commutative. *)
+    delivered/transmitted maps, an unboxed (time, node, sender) event
+    heap (designations arrive [hops] time units after they are sent,
+    so events do not come one level at a time), and the arena's
+    {!Manet_graph.Flatset.pool} for the loop's transient coverage sets.
+    Payloads are restricted to immediate ints, so a bespoke loop pushes
+    and pops events without allocating.  Event processing order is
+    {!run_core}'s: (time, node, sender) lexicographic; events carrying
+    {e equal} keys (possible when a designation and a data copy arrive
+    together) pop in unspecified relative order, so loops must keep the
+    handling of equal-key events commutative. *)
 module Scratch : sig
   type t
 
@@ -148,7 +156,17 @@ val run_core :
   initial:'a ->
   decide:(node:int -> from:int -> payload:'a -> 'a option) ->
   Result.t * (int * int) list
-(** The shared event loop behind {!run}, {!run_traced} and {!Lossy.run}:
+(** The shared event loop behind {!run}, {!run_traced} and {!Lossy.run}.
+    It is a level walk, not a queue: the transmitters of time [t] are
+    the trace entries of that level, already in ascending order; the
+    candidate receivers of [t + 1] are the union of their rows, sorted
+    ascending; and each candidate's sorted row, filtered to the
+    neighbours that transmitted at [t], lists its receptions in sender
+    order.  That is the (time, receiver, sender) order exactly, with
+    no per-reception push or pop.  {!Scratch} and {!run_backoff} keep
+    the arena's event heap, since their events (designations after
+    [hops] units, timer expiries) do not arrive one level at a time.
+
     [drop] is consulted once per reception event, in (time, receiver,
     sender) processing order; a [true] verdict discards that reception
     before the node sees it.  Defaults to never dropping, which is

@@ -87,8 +87,18 @@ let run_backoff env ~window ~source ~mode ~initial ~hear ~expire =
   Engine.run_backoff ?drop:(drop env mode) ?down:env.down ~arena:env.arena env.graph ~source
     ~initial ~backoff ~hear ~expire
 
-let si_decide members ~node ~from:_ ~payload:() =
-  if Nodeset.mem node members then Some () else None
+(* One byte per node up to the largest member: the SI decide reads a
+   byte per reception instead of walking the member tree.  A node past
+   the end (the environment's graph grew since) is not a member. *)
+let member_mask members =
+  let mask =
+    Bytes.make (match Nodeset.max_elt_opt members with Some v -> v + 1 | None -> 0) '\000'
+  in
+  Nodeset.iter (fun v -> Bytes.unsafe_set mask v '\001') members;
+  mask
+
+let si_decide mask ~node ~from:_ ~payload:() =
+  if node < Bytes.length mask && Bytes.unsafe_get mask node <> '\000' then Some () else None
 
 let si ~name ~description ~build =
   {
@@ -99,9 +109,10 @@ let si ~name ~description ~build =
     prepare =
       (fun env ->
         let members = build env in
+        let decide = si_decide (member_mask members) in
         {
           members = Some members;
-          run = (fun ~source ~mode -> run_decide env ~source ~mode ~initial:() ~decide:(si_decide members));
+          run = (fun ~source ~mode -> run_decide env ~source ~mode ~initial:() ~decide);
         });
   }
 
@@ -140,7 +151,7 @@ let frozen_lossy env ~run ~source ~mode =
        the data propagation is unreliable. *)
     let frozen, _ = run ~source in
     let fwd = frozen.Result.forwarders in
-    run_decide env ~source ~mode ~initial:() ~decide:(si_decide fwd)
+    run_decide env ~source ~mode ~initial:() ~decide:(si_decide (member_mask fwd))
 
 let delivery_ratio p env ~loss ~source =
   let built = p.prepare env in

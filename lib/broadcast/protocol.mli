@@ -177,6 +177,16 @@ val run_decide :
     both engines through this one funnel.
     @raise Invalid_argument if a [Lossy] loss is outside [\[0, 1\]]. *)
 
+val member_mask : Manet_graph.Nodeset.t -> Bytes.t
+(** [member_mask s] is [s] as a byte mask: byte [v] is non-zero iff [v]
+    is a member.  It is as long as the largest member plus one. *)
+
+val si_decide : Bytes.t -> node:int -> from:int -> payload:unit -> unit option
+(** The SI-CDS rule over a {!member_mask}: a member forwards its first
+    copy, anyone else stays silent.  One byte read per reception; a
+    node past the end of the mask (the environment's graph has grown
+    since the mask was built) is not a member. *)
+
 val run_backoff :
   env ->
   window:int ->

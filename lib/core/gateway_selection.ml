@@ -1,3 +1,4 @@
+module Graph = Manet_graph.Graph
 module Nodeset = Manet_graph.Nodeset
 module Flatset = Manet_graph.Flatset
 module Coverage = Manet_coverage.Coverage
@@ -190,7 +191,7 @@ let run_select scr (cov : Coverage.t) ~live =
       incr i3)
     cov.c3;
   let n_cands = !n_cands in
-  Flatset.sort_ints cands ~lo:0 ~hi:n_cands;
+  Graph.sort_range cands 0 n_cands;
   for s = 0 to n_cands - 1 do
     slotv.(cands.(s)) <- s;
     live_direct.(s) <- 0;
@@ -341,7 +342,7 @@ let run_select scr (cov : Coverage.t) ~live =
       end;
       incr i3)
     cov.c3;
-  Flatset.sort_ints out ~lo:0 ~hi:!n_out;
+  Graph.sort_range out 0 !n_out;
   !n_out
 
 let select ?targets (cov : Coverage.t) =

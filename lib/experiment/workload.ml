@@ -1,5 +1,4 @@
 module Graph = Manet_graph.Graph
-module Nodeset = Manet_graph.Nodeset
 module Unit_disk = Manet_graph.Unit_disk
 module Point = Manet_geom.Point
 module Rng = Manet_rng.Rng
@@ -121,7 +120,9 @@ let run ?(mode = Protocol.Perfect) ?motion ?(coverage = Coverage.Hop25) ?on_main
   in
   let graph = ref (snapshot ()) in
   let bm = Bm.create !graph coverage in
-  let members = ref (Bm.backbone bm).Static.members in
+  (* The SI decide reads the backbone as a byte mask, rebuilt at each
+     maintenance. *)
+  let mask = ref (Protocol.member_mask (Bm.backbone bm).Static.members) in
   let env = Protocol.make_env ~rng:(Rng.split traffic_rng) !graph in
   (* Pre-size once: no broadcast of the stream grows the arena mid-run. *)
   Engine.Arena.reserve env.Protocol.arena ~n;
@@ -162,9 +163,7 @@ let run ?(mode = Protocol.Perfect) ?motion ?(coverage = Coverage.Hop25) ?on_main
     done;
     !found
   in
-  let decide ~node ~from:_ ~payload:() =
-    if Nodeset.mem node !members then Some () else None
-  in
+  let decide ~node ~from ~payload = Protocol.si_decide !mask ~node ~from ~payload in
   let finished = ref false in
   while not !finished do
     match Timeline.pop tl with
@@ -207,7 +206,7 @@ let run ?(mode = Protocol.Perfect) ?motion ?(coverage = Coverage.Hop25) ?on_main
         in
         if not faulted then begin
           let report = Bm.update bm !graph in
-          members := (Bm.backbone bm).Static.members;
+          mask := Protocol.member_mask (Bm.backbone bm).Static.members;
           if counted then begin
             incr maintenance_updates;
             maintenance_messages := !maintenance_messages + report.Bm.total_messages

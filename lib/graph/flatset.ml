@@ -197,31 +197,4 @@ let remove p a v =
   done;
   seal p (!k - p.top)
 
-let sort_ints a ~lo ~hi =
-  let len = hi - lo in
-  if len > 1 then begin
-    let swap i j =
-      let t = a.(lo + i) in
-      a.(lo + i) <- a.(lo + j);
-      a.(lo + j) <- t
-    in
-    let rec sift i len =
-      let l = (2 * i) + 1 in
-      if l < len then begin
-        let c = if l + 1 < len && a.(lo + l + 1) > a.(lo + l) then l + 1 else l in
-        if a.(lo + c) > a.(lo + i) then begin
-          swap i c;
-          sift c len
-        end
-      end
-    in
-    for i = (len / 2) - 1 downto 0 do
-      sift i len
-    done;
-    for k = len - 1 downto 1 do
-      swap 0 k;
-      sift 0 k
-    done
-  end
-
 let unsafe_retag t = { t with tag = t.pool.gen }

@@ -77,10 +77,6 @@ val diff_row : pool -> t -> int array -> t
 
 val remove : pool -> t -> int -> t
 
-val sort_ints : int array -> lo:int -> hi:int -> unit
-(** In-place ascending heapsort of [a.(lo..hi-1)] — the allocation-free
-    range sort the flat consumers (gateway selection) share. *)
-
 val unsafe_retag : t -> t
 (** The same slice stamped with the pool's {e current} generation, so a
     stale slice reads whatever the pool now holds without tripping the

@@ -4,8 +4,10 @@
    contiguous buffer instead of chasing a pointer per row. *)
 type t = { n : int; m : int; off : int array; nbr : int array }
 
-(* Whether [a.(lo) .. a.(hi - 1)] is already in ascending order. *)
-let sorted_range a lo hi =
+(* Whether [a.(lo) .. a.(hi - 1)] is already in ascending order.  The
+   range-sort helpers are annotated [int array] so every comparison
+   compiles to an integer compare rather than a polymorphic call. *)
+let sorted_range (a : int array) lo hi =
   let i = ref (lo + 1) in
   while !i < hi && Array.unsafe_get a (!i - 1) <= Array.unsafe_get a !i do
     incr i
@@ -14,13 +16,13 @@ let sorted_range a lo hi =
 
 (* [swap] and [sift] live at top level so that heapsorting a range
    allocates no closures. *)
-let swap a i j =
+let swap (a : int array) i j =
   let tmp = a.(i) in
   a.(i) <- a.(j);
   a.(j) <- tmp
 
 (* Max-heap sift-down within [a.(lo) .. a.(lo + len - 1)]. *)
-let rec sift a lo root len =
+let rec sift (a : int array) lo root len =
   let l = (2 * root) + 1 in
   if l < len then begin
     let c = if l + 1 < len && a.(lo + l + 1) > a.(lo + l) then l + 1 else l in
@@ -36,7 +38,7 @@ let rec sift a lo root len =
    one linear pass either way (insertion sort moves nothing; long rows
    are checked before heapsorting) — [Unit_disk.build] emits its rows in
    order, so that is the common case. *)
-let sort_range a lo hi =
+let sort_range (a : int array) lo hi =
   let len = hi - lo in
   if len > 1 && not (len > 16 && sorted_range a lo hi) then begin
     if len <= 16 then

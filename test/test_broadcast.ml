@@ -70,16 +70,28 @@ let test_late_designation () =
   Alcotest.(check bool) "2 eventually forwards" true (Nodeset.mem 2 r.forwarders)
 
 let test_first_copy_smallest_sender () =
-  (* Nodes 1 and 2 both deliver to 3 at t=2; the engine must hand node 3
-     the copy from sender 1 (smallest id). *)
-  let g = Graph.of_edges ~n:4 [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
-  let first_from = ref (-1) in
-  let _ =
-    Engine.run g ~source:0 ~initial:() ~decide:(fun ~node ~from ~payload:() ->
-        if node = 3 && !first_from < 0 then first_from := from;
-        Some ())
+  (* Nodes 1 and 2 both reach node 3 at t = 2, carrying different
+     payloads: the engine must offer node 3 the copy from sender 1
+     (smallest id) first.  Node 3 declines it, so the copy from sender 2
+     in the same slot must still be offered, and node 3 forwards at
+     t = 2 with that copy's payload. *)
+  let g = Graph.of_edges ~n:5 [ (0, 1); (0, 2); (1, 3); (2, 3); (3, 4) ] in
+  let offers = ref [] in
+  let r, timeline =
+    Engine.run_core g ~source:0 ~initial:[ 0 ] ~decide:(fun ~node ~from ~payload ->
+        offers := (node, from, payload) :: !offers;
+        if node = 3 && from = 1 then None else Some (node :: payload))
   in
-  Alcotest.(check int) "deterministic tie-break" 1 !first_from
+  let offers_to v = List.filter (fun (u, _, _) -> u = v) (List.rev !offers) in
+  Alcotest.(check (list (triple int int (list int))))
+    "node 3: sender 1 first, then sender 2"
+    [ (3, 1, [ 1; 0 ]); (3, 2, [ 2; 0 ]) ]
+    (offers_to 3);
+  Alcotest.(check (list (triple int int (list int))))
+    "node 4 hears node 3's relay of sender 2's copy" [ (4, 3, [ 3; 2; 0 ]) ] (offers_to 4);
+  Alcotest.(check (list (pair int int)))
+    "timeline" [ (0, 0); (1, 1); (1, 2); (2, 3); (3, 4) ] timeline;
+  Alcotest.(check int) "completion" 3 r.completion_time
 
 let test_source_out_of_range () =
   let g = Graph.path 2 in
@@ -367,23 +379,116 @@ let test_arena_across_sizes () =
 
 let test_arena_reentrant () =
   let arena = Engine.Arena.create () in
-  let outer = udg ~seed:12 ~n:30 ~d:6. in
-  let inner = Graph.star 5 in
-  (* Every outer decide runs a nested broadcast on the same arena: the
-     nested run must fall back to private scratch and leave the outer
-     run's state untouched. *)
+  let outer = (udg ~seed:12 ~n:30 ~d:6.).graph in
+  let inner = Graph.path 6 in
+  (* Every outer decide runs a nested broadcast on the same arena, with
+     payloads of another type: the nested run must fall back to private
+     scratch and leave the outer run's state, its in-flight payloads
+     included, untouched. *)
+  let hops ~node:_ ~from:_ ~payload = if payload < 3 then Some (payload + 1) else None in
   let nested_results = ref [] in
-  let decide ~node:_ ~from:_ ~payload:() =
-    let r, _ = Engine.run_core ~arena inner ~source:0 ~initial:() ~decide:flood_decide in
-    nested_results := r :: !nested_results;
-    Some ()
+  let run_outer ~nest =
+    let offered = ref [] in
+    let decide ~node ~from ~payload =
+      if nest then begin
+        let r, _ = Engine.run_core ~arena inner ~source:0 ~initial:0 ~decide:hops in
+        nested_results := r :: !nested_results
+      end;
+      offered := (node, from, payload) :: !offered;
+      Some (string_of_int node :: payload)
+    in
+    let r, timeline = Engine.run_core ~arena outer ~source:0 ~initial:[ "0" ] ~decide in
+    (r, timeline, List.rev !offered)
   in
-  let with_nesting = Engine.run_core ~arena outer.graph ~source:0 ~initial:() ~decide in
-  let plain = Engine.run_core outer.graph ~source:0 ~initial:() ~decide:flood_decide in
-  Alcotest.check result_t "outer run unaffected by nesting" (fst plain) (fst with_nesting);
-  let reference = Engine.run inner ~source:0 ~initial:() ~decide:flood_decide in
+  let r, timeline, offered = run_outer ~nest:true in
+  let plain, plain_timeline, plain_offered = run_outer ~nest:false in
+  Alcotest.check result_t "outer run unaffected by nesting" plain r;
+  Alcotest.(check (list (pair int int))) "outer timeline" plain_timeline timeline;
+  Alcotest.(check (list (triple int int (list string))))
+    "outer copies offered" plain_offered offered;
+  List.iter
+    (fun (_, from, payload) ->
+      Alcotest.(check string) "payload names its sender" (string_of_int from) (List.hd payload))
+    offered;
+  let reference = Engine.run inner ~source:0 ~initial:0 ~decide:hops in
   List.iter (Alcotest.check result_t "nested run correct" reference) !nested_results;
   Alcotest.(check bool) "nesting actually happened" true (!nested_results <> [])
+
+(* Decide-style outputs pinned on 50 seeded unit-disk graphs: one
+   digest per setting over (forwarders, delivered, completion time,
+   timeline).  The pins were recorded from the per-reception heap loop
+   that the level walk replaced, so any change to the (time, receiver,
+   sender) reception order, to the loss stream or to the failure
+   semantics shows up here.  The settings cover a payload- and
+   [from]-dependent rule, the SI member test, the registry's
+   payload-carrying dominant pruning and MPR, Lossy 0.1 and a node
+   failure schedule. *)
+module Protocol = Manet_broadcast.Protocol
+module Registry = Manet_protocols.Registry
+
+let digest_cases =
+  lazy
+    (List.init 50 (fun i ->
+         let n = 12 + (i * 17 mod 60) in
+         let d = Float.min (List.nth [ 5.; 8.; 12.; 18. ] (i mod 4)) (float_of_int (n - 2)) in
+         (udg ~seed:(7000 + i) ~n ~d).graph))
+
+let run_digest run =
+  let buf = Buffer.create 65536 in
+  List.iteri
+    (fun i g ->
+      let (r : Result.t), timeline = run i g ~source:(i * 5 mod Graph.n g) in
+      Nodeset.iter (fun v -> Printf.bprintf buf "%d," v) r.forwarders;
+      Array.iter (fun d -> Buffer.add_char buf (if d then '1' else '0')) r.delivered;
+      Printf.bprintf buf "|%d|" r.completion_time;
+      List.iter (fun (t, v) -> Printf.bprintf buf "%d:%d," t v) timeline;
+      Buffer.add_char buf '\n')
+    (Lazy.force digest_cases);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* A node forwards a hop count unless its id, the sender's and the
+   count sum to a multiple of 3: later copies, with other senders and
+   counts, still get their turn. *)
+let hop_rule ~node ~from ~payload =
+  if (node + from + payload) mod 3 = 0 then None else Some (payload + 1)
+
+let down_schedule ~time ~node = ((node * 7) + time) mod 5 = 3 || (node mod 11 = 4 && time >= 2)
+
+let registry_run name ?down mode i g ~source =
+  let env = Protocol.make_env ?down ~rng:(Manet_rng.Rng.create ~seed:(300 + i)) g in
+  ((Registry.find_exn name).prepare env).run ~source ~mode
+
+let pinned_engine_digests =
+  let core ?down ?loss decide _ g ~source =
+    let drop =
+      Option.map (fun loss -> Engine.loss_drop (Manet_rng.Rng.create ~seed:source) ~loss) loss
+    in
+    Engine.run_core ?drop ?down g ~source ~initial:0 ~decide
+  in
+  let perfect = Protocol.Perfect and lossy = Protocol.Lossy 0.1 and down = down_schedule in
+  [
+    ("flooding", "003adbf053a88b734f3d990141103035", core (fun ~node:_ ~from:_ ~payload -> Some payload));
+    ("hop rule", "c336c2bfe70093281e63176d3c8ac927", core hop_rule);
+    ("hop rule lossy 0.1", "35735288fb4b3eebbec47590e218fbd6", core ~loss:0.1 hop_rule);
+    ("hop rule down", "425ef7d6a8cd508f4d80a102162183f8", core ~down hop_rule);
+    ("static-2.5hop", "89230d83f7847a1a1a6f83ff6e333654", registry_run "static-2.5hop" perfect);
+    ("mo_cds", "f75436b2a60f7ce58e0ad88ee9258b30", registry_run "mo_cds" perfect);
+    ("dp", "38b7ce75f12315e0f1fd56d61b133ae4", registry_run "dp" perfect);
+    ("mpr", "5785a728f5bb7c983bcbfe604bfd3c8a", registry_run "mpr" perfect);
+    ("flooding lossy 0.1", "57bcaf09d372a7bc8c3ac7eccbbd0aa4", registry_run "flooding" lossy);
+    ("static-2.5hop lossy 0.1", "b1f7845c86ae9de1a26be934915d4391", registry_run "static-2.5hop" lossy);
+    ("dp lossy 0.1", "cb7772be777d921f5d96583fcc307770", registry_run "dp" lossy);
+    ("mpr lossy 0.1", "89924465bfc9b30580a2970819811194", registry_run "mpr" lossy);
+    ("dynamic-2.5hop lossy 0.1", "3dc66b23167dba7c7c5d5e37eacc503d", registry_run "dynamic-2.5hop" lossy);
+    ("flooding down", "7aae395a29a69422e65aad2ef0b06849", registry_run "flooding" ~down perfect);
+    ("static-2.5hop down", "2cbb806e151031cdc91922105879922e", registry_run "static-2.5hop" ~down perfect);
+    ("dp down lossy 0.1", "891463952e54a5757c939b3e9195cc73", registry_run "dp" ~down lossy);
+  ]
+
+let test_engine_digests () =
+  List.iter
+    (fun (name, expected, run) -> Alcotest.(check string) name expected (run_digest run))
+    pinned_engine_digests
 
 let () =
   Alcotest.run "broadcast"
@@ -400,6 +505,7 @@ let () =
           Alcotest.test_case "single node" `Quick test_single_node_graph;
           Alcotest.test_case "arena reuse across sizes" `Quick test_arena_across_sizes;
           Alcotest.test_case "arena reentrancy" `Quick test_arena_reentrant;
+          Alcotest.test_case "decide-style digests pinned" `Quick test_engine_digests;
         ] );
       ( "lossy",
         [

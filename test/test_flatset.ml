@@ -4,6 +4,7 @@
    check must catch slices that outlive their generation. *)
 
 module Flatset = Manet_graph.Flatset
+module Graph = Manet_graph.Graph
 module Nodeset = Manet_graph.Nodeset
 module Rng = Manet_rng.Rng
 open Test_helpers
@@ -112,8 +113,8 @@ let test_of_increasing_validates () =
     (Invalid_argument "Flatset.of_increasing: len out of range") (fun () ->
       ignore (Flatset.of_increasing pool [| 1 |] ~len:2))
 
-let prop_sort_ints =
-  qtest "sort_ints sorts exactly the requested range" ~count:200
+let prop_sort_range =
+  qtest "sort_range sorts exactly the requested range" ~count:200
     QCheck.(pair (int_bound 100_000) (int_range 1 60))
     (fun (seed, n) ->
       let rng = Rng.create ~seed in
@@ -124,14 +125,14 @@ let prop_sort_ints =
       let sorted = Array.sub a lo (hi - lo) in
       Array.sort Int.compare sorted;
       Array.blit sorted 0 expect lo (hi - lo);
-      Flatset.sort_ints a ~lo ~hi;
+      Graph.sort_range a lo hi;
       a = expect)
 
 let () =
   Alcotest.run "flatset"
     [
       ( "equivalence",
-        [ prop_roundtrip_and_mem; prop_set_ops; prop_reset_reuse; prop_sort_ints ] );
+        [ prop_roundtrip_and_mem; prop_set_ops; prop_reset_reuse; prop_sort_range ] );
       ( "staleness",
         [
           Alcotest.test_case "stale slice detected, retag escapes" `Quick

@@ -188,6 +188,43 @@ let test_choose () =
     Alcotest.(check bool) "member" true (Array.exists (( = ) v) a)
   done
 
+(* The stream, pinned: a digest over every kind of draw from a few
+   seeds, split children included, recorded from the boxed-[int64]
+   state the byte-buffer state replaced. *)
+let test_stream_pinned () =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun seed ->
+      let g = Rng.create ~seed in
+      let child = Rng.split g in
+      for i = 1 to 200 do
+        let raw = Rng.next_int64 g in
+        let b = Rng.bits g in
+        let b53 = Rng.bits53 g in
+        let k = Rng.int g (1 + (i * 37)) in
+        let f = Rng.float g 3.5 in
+        let coin = Rng.bool g in
+        let c = Rng.int_in child ~lo:(-i) ~hi:i in
+        Printf.bprintf buf "%Ld %d %d %d %h %b %d;" raw b b53 k f coin c
+      done)
+    [ 0; 1; 42; -7; max_int ];
+  Alcotest.(check string)
+    "stream digest" "bdc4dfd8a066232b18e16beebe7a735a"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* [bits53] (one per reception under loss) and [int] (backoffs, sources,
+   churn picks) allocate nothing. *)
+let test_draws_allocate_nothing () =
+  let g = Rng.create ~seed:3 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    acc := !acc lxor Rng.bits53 g lxor Rng.int g 1000
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !acc);
+  Alcotest.(check (float 0.)) "minor words over 100k draws" 0. words
+
 let () =
   Alcotest.run "rng"
     [
@@ -205,6 +242,8 @@ let () =
           Alcotest.test_case "float range" `Quick test_float_range;
           Alcotest.test_case "float mean" `Quick test_float_mean;
           Alcotest.test_case "bool balance" `Quick test_bool_balance;
+          Alcotest.test_case "stream pinned" `Quick test_stream_pinned;
+          Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
         ] );
       ( "dist",
         [
